@@ -4,8 +4,6 @@ Acceptance properties of the engine PRs:
 
 * aggregating/averaging over the flat ``(n_nodes, dim)`` arena is at
   least 5x faster than the dict-``State`` hot path on a 64-node round;
-* a fixed-seed run is bit-identical between the serial and the
-  process-pool executor (final accuracies and message counts);
 * batched evaluation over arena rows is at least 3x faster than the
   per-node reload loop at 64 nodes, with tolerance-level identical
   metrics;
@@ -44,7 +42,6 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.core.study import StudyConfig, run_study
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip.engine import (
     BatchedExecutor,
@@ -778,53 +775,4 @@ class TestObserverThroughput:
             f"sharded observation only {speedup:.1f}x faster than the "
             f"parent row-batch path at {N_NODES} nodes with "
             f"{n_shards} shards (required: 1.5x)"
-        )
-
-
-class TestExecutorEquivalence:
-    def test_serial_and_process_runs_bit_identical(self, benchmark):
-        """Fixed seed, same config: final accuracies and message counts
-        must match bit for bit across executor backends."""
-        base = dict(
-            dataset="purchase100",
-            n_train=600,
-            n_test=150,
-            num_features=96,
-            mlp_hidden=(48, 24),
-            n_nodes=8,
-            view_size=2,
-            rounds=3,
-            train_per_node=24,
-            test_per_node=12,
-            max_global_test=96,
-            max_attack_samples=48,
-            local_epochs=1,
-            batch_size=8,
-            engine="flat",
-            seed=11,
-        )
-        serial = run_study(StudyConfig(name="engine-serial", **base))
-        parallel = run_once(
-            benchmark,
-            run_study,
-            StudyConfig(
-                name="engine-process", executor="process", n_workers=2, **base
-            ),
-        )
-        s_last, p_last = serial.rounds[-1], parallel.rounds[-1]
-        print_series(
-            "serial acc per round",
-            [r.global_test_accuracy for r in serial.rounds],
-        )
-        print_series(
-            "process acc per round",
-            [r.global_test_accuracy for r in parallel.rounds],
-        )
-        assert s_last.global_test_accuracy == p_last.global_test_accuracy
-        assert s_last.mia_accuracy == p_last.mia_accuracy
-        for s_round, p_round in zip(serial.rounds, parallel.rounds):
-            assert s_round.global_test_accuracy == p_round.global_test_accuracy
-        assert (
-            serial.metadata["messages_dropped"]
-            == parallel.metadata["messages_dropped"]
         )

@@ -14,18 +14,20 @@ import numpy as np
 
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip import (
-    BaseGossipProtocol,
-    GossipNode,
+    FlatGossipSimulator,
     LocalTrainer,
-    SAMOProtocol,
+    SimulatorConfig,
     TrainerConfig,
+    make_protocol,
 )
 from repro.nn import build_mlp, get_state
 
 from benchmarks.conftest import run_once
 
 
-def build_node():
+def build_simulator(protocol_name):
+    """Node x = 0 with every other node in its view (view size 3 of
+    4 nodes), so x has three neighbors to hear from and send to."""
     model = build_mlp(16, 4, hidden=(8,), rng=np.random.default_rng(0))
     trainer = LocalTrainer(
         model,
@@ -34,48 +36,45 @@ def build_node():
     train, _ = make_synthetic_tabular_dataset(
         "t", 120, 20, num_features=16, num_classes=4, seed=0
     )
-    split = make_node_splits(train, 3, train_per_node=16, test_per_node=8, seed=0)[0]
-    init = get_state(model)
-    node = GossipNode(
-        node_id=0,
-        state={k: v.copy() for k, v in init.items()},
-        split=split,
-        rng=np.random.default_rng(7),
+    splits = make_node_splits(train, 4, train_per_node=16, test_per_node=8, seed=0)
+    config = SimulatorConfig(
+        n_nodes=4, view_size=3, ticks_per_round=20, wake_mu=20,
+        wake_sigma=2, seed=7,
     )
-    return node, trainer, init
+    return FlatGossipSimulator(
+        config, make_protocol(protocol_name, trainer), splits, get_state(model)
+    )
 
 
-def trace_protocol(protocol_cls):
-    node, trainer, init = build_node()
-    protocol = protocol_cls(trainer)
+def trace_protocol(protocol_name):
+    sim = build_simulator(protocol_name)
+    node = sim.nodes[0]
+    init = np.array(sim.arena.row(0))
     events = []
-
-    def send(sender, receiver, payload):
-        events.append(("send", receiver))
-
     # Steps 1-3: three models arrive from y1, y2, y3.
-    for shift in (1.0, 2.0, 3.0):
-        incoming = {k: v + shift for k, v in init.items()}
+    for sender, shift in ((1, 1.0), (2, 2.0), (3, 3.0)):
         updates_before = node.updates_performed
-        protocol.on_receive(node, incoming)
+        sim._send_vector(sender, 0, init + shift)
+        sim._process_pending()
         if node.updates_performed > updates_before:
             events.append(("merge_and_update", None))
         else:
             events.append(("buffered", None))
     # Steps 4-5: node x wakes up with z1, z2, z3 in its view.
     updates_before = node.updates_performed
-    protocol.on_wake(node, view={1, 2, 3}, send=send)
+    if protocol_name == "samo":
+        sim._samo_wakes([0])
+    else:
+        sim._base_wakes([0])
     if node.updates_performed > updates_before:
-        events.insert(
-            len(events) - sum(1 for e in events if e[0] == "send"),
-            ("merge_and_update", None),
-        )
+        events.append(("merge_and_update", None))
+    events.extend(("send", receiver) for _, receiver, _ in sim._pending)
     return events, node
 
 
 def test_figure1_protocol_traces(benchmark):
     def run():
-        return trace_protocol(BaseGossipProtocol), trace_protocol(SAMOProtocol)
+        return trace_protocol("base_gossip"), trace_protocol("samo")
 
     (gl_events, gl_node), (samo_events, samo_node) = run_once(benchmark, run)
 

@@ -31,10 +31,18 @@ __all__ = [
     "PrivacyConfig",
     "GROUPS",
     "FLAT_TO_GROUP",
+    "RETIRED_EXECUTION_FIELDS",
     "config_hash",
+    "drop_retired_fields",
     "group_field_names",
     "reject_unknown_keys",
 ]
+
+# Execution fields that were removed, at the only value each could
+# still take. Stored configs (service journals, checkpoints) carry
+# them: from_dict drops them at these values, and config_hash puts
+# them back so every stored hash still matches.
+RETIRED_EXECUTION_FIELDS = {"engine": "flat", "n_workers": 0}
 
 
 def group_field_names(cls) -> tuple[str, ...]:
@@ -58,6 +66,22 @@ def reject_unknown_keys(
             f"unknown {cls_name} field(s): {', '.join(sorted(unknown))}; "
             f"valid fields are: {', '.join(sorted(valid_set))}"
         )
+
+
+def drop_retired_fields(payload: Mapping) -> dict:
+    """Copy of ``payload`` without the retired execution fields.
+
+    A retired field at any value other than its surviving one names a
+    code path that no longer exists, so it raises a ValueError.
+    """
+    out = dict(payload)
+    for key, kept in RETIRED_EXECUTION_FIELDS.items():
+        if key in out and out.pop(key) != kept:
+            raise ValueError(
+                f"the {key!r} field was removed; stored configs may "
+                f"only carry {key}={kept!r}"
+            )
+    return out
 
 
 @dataclass(frozen=True)
@@ -186,11 +210,9 @@ class TopologyConfig(ConfigGroup):
 
 @dataclass(frozen=True)
 class ExecutionConfig(ConfigGroup):
-    """Engine/executor selection and evaluation batching/limits."""
+    """Executor selection and evaluation batching/limits."""
 
-    engine: str = "flat"  # "flat" (arena, default) or "dict" (legacy)
-    executor: str = "serial"  # "serial"/"process"/"batched"/"sharded"
-    n_workers: int = 0  # process-pool size; 0 = one per CPU (capped)
+    executor: str = "serial"  # "serial"/"batched"/"sharded"
     n_shards: int = 0  # shard workers; 0 = one per CPU (capped)
     shard_partition: str = "contiguous"  # row->shard map
     train_batch: int = 0  # rows per blocked training op
@@ -201,14 +223,12 @@ class ExecutionConfig(ConfigGroup):
     keep_node_records: bool = False
 
     def __post_init__(self) -> None:
-        if self.engine not in ("dict", "flat"):
-            raise ValueError("engine must be 'dict' or 'flat'")
-        if self.executor not in ("serial", "process", "batched", "sharded"):
+        if self.executor not in ("serial", "batched", "sharded"):
             raise ValueError(
-                "executor must be 'serial', 'process', 'batched' or 'sharded'"
+                "executor must be 'serial', 'batched' or 'sharded'"
             )
-        if self.n_workers < 0 or self.n_shards < 0:
-            raise ValueError("n_workers and n_shards must be non-negative")
+        if self.n_shards < 0:
+            raise ValueError("n_shards must be non-negative")
         if self.shard_partition not in ("contiguous", "balanced"):
             raise ValueError(
                 "shard_partition must be 'contiguous' or 'balanced'"
@@ -221,6 +241,12 @@ class ExecutionConfig(ConfigGroup):
             raise ValueError(
                 "max_global_test and max_attack_samples must be positive"
             )
+
+    @classmethod
+    def from_dict(cls, payload: Mapping) -> "ExecutionConfig":
+        if isinstance(payload, Mapping):
+            payload = drop_retired_fields(payload)
+        return super().from_dict(payload)
 
 
 @dataclass(frozen=True)
@@ -253,7 +279,9 @@ def config_hash(config) -> str:
     a plain mapping in any accepted spelling — grouped, flat, or a mix.
     Mappings are normalized through ``StudyConfig.from_dict`` first, so
     dict key ordering, group-vs-flat spellings, and omitted-but-default
-    fields all hash identically.
+    fields all hash identically. The retired execution fields are
+    hashed at their surviving values, so hashes computed before their
+    removal still match.
     """
     if isinstance(config, Mapping):
         # Lazy import: study.py imports this module at load time.
@@ -261,6 +289,7 @@ def config_hash(config) -> str:
 
         config = StudyConfig.from_dict(dict(config))
     payload = config.to_dict()
+    payload["execution"].update(RETIRED_EXECUTION_FIELDS)
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

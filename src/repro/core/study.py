@@ -44,10 +44,12 @@ from repro.core.attacker import OmniscientObserver
 from repro.core.config import (
     FLAT_TO_GROUP,
     GROUPS,
+    RETIRED_EXECUTION_FIELDS,
     ConfigGroup,
     DataConfig,
     ExecutionConfig,
     config_hash,
+    drop_retired_fields,
     ModelConfig,
     PrivacyConfig,
     TopologyConfig,
@@ -57,9 +59,9 @@ from repro.core.config import (
 from repro.data.canary import make_canaries, inject_canaries
 from repro.data.datasets import make_dataset
 from repro.data.partition import make_node_splits
-from repro.gossip.engine import make_simulator
+from repro.gossip.engine import FlatGossipSimulator
 from repro.gossip.protocols import make_protocol
-from repro.gossip.simulator import GossipSimulator, SimulatorConfig
+from repro.gossip.simulator import SimulatorConfig
 from repro.gossip.trainer import LocalTrainer, TrainerConfig
 from repro.metrics.records import RoundRecord, RunResult
 from repro.nn.models import build_model
@@ -129,9 +131,7 @@ class StudyConfig:
     delay_ticks: int = 0  # network latency (ticks per message)
     delay_jitter: int = 0  # extra uniform latency in [0, jitter]
     # Execution engine (DESIGN.md "Flat-state execution engine").
-    engine: str = "flat"  # "flat" (arena, default) or "dict" (legacy)
-    executor: str = "serial"  # "serial"/"process"/"batched"/"sharded" (flat only)
-    n_workers: int = 0  # process-pool size; 0 = one per CPU (capped)
+    executor: str = "serial"  # "serial"/"batched"/"sharded"
     n_shards: int = 0  # shard workers; 0 = one per CPU (capped at n_nodes)
     shard_partition: str = "contiguous"  # row->shard map: contiguous/balanced
     train_batch: int = 0  # rows per blocked training op (0=all, -1=per-row)
@@ -247,7 +247,7 @@ class StudyConfig:
                 f"got {type(payload).__name__}"
             )
         flat: dict = {}
-        for key, value in payload.items():
+        for key, value in drop_retired_fields(payload).items():
             if key in GROUPS:
                 group = (
                     GROUPS[key].from_dict(value)
@@ -430,8 +430,8 @@ class Study:
             )
             self.splits = inject_canaries(self.splits, self.canaries)
         # Model ---------------------------------------------------------
-        # Kept as a picklable builder too: process-pool executor workers
-        # construct their own workspace Module from it.
+        # Kept as a picklable builder too: shard workers construct
+        # their own workspace Module from it.
         self.model_builder = partial(
             build_model,
             cfg.architecture,
@@ -462,7 +462,7 @@ class Study:
             ),
         )
         self.protocol = make_protocol(cfg.protocol, trainer)
-        self.simulator = make_simulator(
+        self.simulator = FlatGossipSimulator(
             SimulatorConfig(
                 n_nodes=cfg.n_nodes,
                 view_size=cfg.view_size,
@@ -473,9 +473,7 @@ class Study:
                 failure_prob=cfg.failure_prob,
                 delay_ticks=cfg.delay_ticks,
                 delay_jitter=cfg.delay_jitter,
-                engine=cfg.engine,
                 executor=cfg.executor,
-                n_workers=cfg.n_workers,
                 n_shards=cfg.n_shards,
                 shard_partition=cfg.shard_partition,
                 train_batch=cfg.train_batch,
@@ -556,7 +554,7 @@ class Study:
         )
         trainer = self.protocol.trainer
         # Through the simulator so the swap revalidates and reaches the
-        # live executor (batched trainer, process pool, shard workers)
+        # live executor (batched trainer, shard workers)
         # instead of relying on each path re-reading trainer.config.
         self.simulator.set_trainer_config(replace(trainer.config, dp=dp_config))
         self.protocol.max_updates_per_node = planned_updates
@@ -673,9 +671,7 @@ class Study:
                 "dp_epsilon": self.config.dp_epsilon,
                 "noise_multiplier": self._sigma,
                 "n_nodes": self.config.n_nodes,
-                "engine": self.config.engine,
                 "executor": self.config.executor,
-                "n_workers": self.config.n_workers,
                 "n_shards": self.config.n_shards,
                 "shard_partition": self.config.shard_partition,
                 "train_batch": self.config.train_batch,
@@ -686,6 +682,10 @@ class Study:
                 "wakes_skipped": self.simulator.wakes_skipped,
                 "messages_undelivered": self.simulator.messages_undelivered,
                 "fallback_counts": self.simulator.fallback_counts(),
+                # Result bytes are compared against stored digests (the
+                # service cache, benchmark references), so the retired
+                # execution fields keep their surviving values here.
+                **RETIRED_EXECUTION_FIELDS,
             },
         )
         if self.telemetry.annotate_results:

@@ -1,13 +1,12 @@
 """Sharded shared-memory execution subsystem.
 
-The batched executor (PR 3) trains a tick's wake tasks as lockstep
-``(B, dim)`` blocks, but all of it on one core; the process executor
-(PR 1) uses many cores, but pickles every task's state vector to a pool
-worker and copies the result back. This module combines the two: arena
-rows are partitioned across long-lived *shard workers*, each of which
+The batched executor trains a tick's wake tasks as lockstep
+``(B, dim)`` blocks, but all of it on one core. This module spreads
+that work over many cores without shipping state vectors: arena rows
+are partitioned across long-lived *shard workers*, each of which
 attaches to the engine's :class:`~repro.nn.flat.SharedArena` segment
 once, owns a workspace model plus its shard's data slices, and runs the
-PR 3 batched training kernels over its rows in place.
+batched training kernels over its rows in place.
 
 Per tick, a shard receives only ``(row_index, session, rng_state)``
 triples — never a state vector. Workers read their rows straight out of
@@ -58,15 +57,24 @@ from repro.nn.flat import SharedArena, StateLayout
 from repro.nn.layers import Module
 from repro.telemetry import Registry, Telemetry
 
-__all__ = ["RowPartitioner", "ShardedExecutor"]
+__all__ = ["RowPartitioner", "ShardedExecutor", "shard_count"]
 
-# Default cap mirrors ProcessExecutor's pool sizing.
-_MAX_AUTO_SHARDS = 8
+# Auto-sized worker pools start one process per CPU, capped here.
+_MAX_AUTO_PROCS = 8
 
 _TRAIN = "train"
 _OBSERVE_INIT = "observe_init"
 _OBSERVE = "observe"
 _STOP = "stop"
+
+
+def shard_count(n_shards: int, n_rows: int) -> int:
+    """Shard workers a :class:`ShardedExecutor` starts for ``n_rows``
+    arena rows: ``n_shards``, or one per CPU (capped) when it is 0, and
+    never more than there are rows. The campaign pool sizes itself
+    from the same rule."""
+    requested = n_shards or min(os.cpu_count() or 1, _MAX_AUTO_PROCS)
+    return max(1, min(requested, n_rows))
 
 
 class RowPartitioner:
@@ -411,10 +419,7 @@ class ShardedExecutor(Executor):
         super().__init__()
         split_arrays = as_split_arrays(splits)
         n_rows = arena.n_nodes
-        requested = n_shards or min(
-            os.cpu_count() or 1, _MAX_AUTO_SHARDS
-        )
-        requested = max(1, min(requested, n_rows))
+        requested = shard_count(n_shards, n_rows)
         counts = [split_arrays[i][0].shape[0] for i in range(n_rows)]
         self.partitioner = RowPartitioner(partition)
         shard_rows = [

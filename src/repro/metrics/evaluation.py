@@ -155,9 +155,8 @@ class BatchedEvaluator:
     """Scores many flat parameter vectors against eval data at once.
 
     ``params`` arguments are ``(B, dim)`` blocks whose rows follow the
-    evaluator's :class:`~repro.nn.flat.StateLayout` — arena rows under
-    the flat engine, packed dict states under the legacy one. Work is
-    blocked along both axes to bound memory: at most ``eval_batch``
+    evaluator's :class:`~repro.nn.flat.StateLayout` (the simulator's
+    arena rows). Work is blocked along both axes to bound memory: at most ``eval_batch``
     model rows (0 = all at once) and ``batch_size`` samples per kernel.
 
     All math runs in the dtype of the ``params`` block (the arena

@@ -54,7 +54,7 @@ class StateLayout:
     dtype (the arena dtype), while :meth:`unpack_copy` restores the
     template dtypes.
 
-    Instances are plain data (picklable) so process-pool workers can
+    Instances are plain data (picklable) so shard worker processes can
     rebuild views on their side of the fence.
     """
 

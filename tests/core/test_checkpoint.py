@@ -87,22 +87,13 @@ class TestCheckpointResumeEquivalence:
         "executor_overrides",
         [
             dict(executor="serial"),
-            dict(executor="process", n_workers=2),
             dict(executor="batched"),
             dict(executor="sharded", n_shards=2),
         ],
-        ids=["serial", "process", "batched", "sharded"],
+        ids=["serial", "batched", "sharded"],
     )
     def test_bit_identical_per_executor(self, tmp_path, executor_overrides):
         config = tiny_config(**executor_overrides)
-        reference = run_study(config)
-        resumed = checkpoint_at_round_then_finish(config, tmp_path)
-        assert_results_identical(reference, resumed)
-
-    def test_bit_identical_dict_engine_with_lr_decay(self, tmp_path):
-        """The dict engine books lr_decay sessions on the shared
-        trainer; the checkpoint must carry that too."""
-        config = tiny_config(engine="dict", lr_decay=0.9)
         reference = run_study(config)
         resumed = checkpoint_at_round_then_finish(config, tmp_path)
         assert_results_identical(reference, resumed)

@@ -13,6 +13,7 @@ from repro.core.config import (
     ModelConfig,
     PrivacyConfig,
     TopologyConfig,
+    config_hash,
     group_field_names,
 )
 
@@ -160,7 +161,7 @@ class TestValidation:
             (TopologyConfig, dict(view_size=0)),
             (TopologyConfig, dict(drop_prob=1.0)),
             (TopologyConfig, dict(delay_ticks=-1)),
-            (ExecutionConfig, dict(engine="numpy")),
+            (ExecutionConfig, dict(executor="process")),
             (ExecutionConfig, dict(executor="thread")),
             (ExecutionConfig, dict(arena_dtype="float16")),
             (ExecutionConfig, dict(train_batch=-2)),
@@ -182,3 +183,197 @@ class TestValidation:
     def test_mlp_hidden_list_normalized_to_tuple(self):
         assert StudyConfig(mlp_hidden=[64, 32]).mlp_hidden == (64, 32)
         assert ModelConfig(mlp_hidden=[64, 32]).mlp_hidden == (64, 32)
+
+
+# A config_hash keys the service cache, the job journals and the
+# loadbench reference digests, so these values are pinned literally:
+# any change to the hashed payload (a renamed, added or removed field,
+# a new default, a different canonical JSON form) fails here first.
+DEFAULT_HASH = "41a50678bb7508b7b6049e721236470b97b506950e0afde992acd6ca94d72dd8"
+SPELLINGS_HASH = "801b66082f3e9662bbcc28cf4243bdb8116cf092d2cc8f2166394816ddc0d1ea"
+CIFAR_TINY_BATCHED_HASH = (
+    "3df43c6b3222574176a8133bd261c74b8a5963d937fbc2a29a78fd5d19c5568e"
+)
+DP_FRESH_DROPOUT_HASH = (
+    "699bb1e34f26ea900340ee87e0d3c1cd4363c59735021c77e3a73b1d38334a7c"
+)
+
+# One non-default config in three spellings.
+_SPELLINGS_FLAT = {
+    "name": "spellings",
+    "seed": 7,
+    "dataset": "purchase100",
+    "learning_rate": 0.05,
+    "n_nodes": 8,
+    "rounds": 3,
+    "protocol": "base_gossip",
+    "executor": "batched",
+}
+_SPELLINGS_GROUPED = {
+    "name": "spellings",
+    "seed": 7,
+    "data": {"dataset": "purchase100"},
+    "model": {"learning_rate": 0.05},
+    "topology": {"n_nodes": 8, "rounds": 3, "protocol": "base_gossip"},
+    "execution": {"executor": "batched"},
+}
+_SPELLINGS_MIXED = {
+    "name": "spellings",
+    "seed": 7,
+    "data": {"dataset": "purchase100"},
+    "learning_rate": 0.05,
+    "topology": {"n_nodes": 8, "rounds": 3},
+    "protocol": "base_gossip",
+    "executor": "batched",
+}
+
+# A complete to_dict() payload as written by builds whose execution
+# group still carried the "engine" and "n_workers" fields; stored
+# journals and checkpoints hold configs in exactly this form.
+_STORED_PAYLOAD = {
+    "name": "spellings",
+    "seed": 7,
+    "data": {
+        "dataset": "purchase100",
+        "n_train": 2000,
+        "n_test": 500,
+        "image_size": 16,
+        "num_features": 600,
+        "train_per_node": 64,
+        "test_per_node": 32,
+        "beta": None,
+    },
+    "model": {
+        "model_width": 8,
+        "mlp_hidden": [256, 128, 64],
+        "learning_rate": 0.05,
+        "momentum": 0.9,
+        "weight_decay": 0.0005,
+        "local_epochs": 3,
+        "batch_size": 32,
+        "label_smoothing": 0.0,
+        "lr_decay": 1.0,
+        "dropout": 0.0,
+        "dropout_mode": "stream",
+    },
+    "topology": {
+        "n_nodes": 8,
+        "view_size": 2,
+        "dynamic": False,
+        "sampler": None,
+        "protocol": "base_gossip",
+        "rounds": 3,
+        "ticks_per_round": 100,
+        "drop_prob": 0.0,
+        "failure_prob": 0.0,
+        "delay_ticks": 0,
+        "delay_jitter": 0,
+    },
+    "execution": {
+        "engine": "flat",
+        "executor": "batched",
+        "n_workers": 0,
+        "n_shards": 0,
+        "shard_partition": "contiguous",
+        "train_batch": 0,
+        "arena_dtype": "float64",
+        "eval_batch": 0,
+        "max_global_test": 512,
+        "max_attack_samples": 256,
+        "keep_node_records": False,
+    },
+    "privacy": {
+        "dp_epsilon": None,
+        "dp_delta": 1e-05,
+        "dp_clip_norm": 1.0,
+        "n_canaries": 0,
+    },
+}
+
+
+class TestRetiredFields:
+    """``engine`` and ``n_workers`` were removed, along with the
+    ``"process"`` executor; stored configs still carry the first two at
+    their surviving values."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"engine": "dict"},
+            {"execution": {"engine": "dict"}},
+            {"n_workers": 2},
+            {"execution": {"n_workers": 2}},
+        ],
+    )
+    def test_other_values_name_the_removal(self, payload):
+        with pytest.raises(ValueError, match="was removed"):
+            StudyConfig.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "payload", [{"executor": "process"}, {"execution": {"executor": "process"}}]
+    )
+    def test_process_executor_rejected(self, payload):
+        with pytest.raises(ValueError, match="executor"):
+            StudyConfig.from_dict(payload)
+
+    def test_surviving_values_are_dropped(self):
+        cfg = StudyConfig.from_dict(
+            {"engine": "flat", "execution": {"n_workers": 0}, "rounds": 3}
+        )
+        assert cfg == StudyConfig(rounds=3)
+        assert "engine" not in cfg.to_dict()["execution"]
+        assert ExecutionConfig.from_dict(
+            {"engine": "flat", "n_workers": 0}
+        ) == ExecutionConfig()
+
+    def test_retired_names_are_not_fields(self):
+        from repro.core.config import RETIRED_EXECUTION_FIELDS
+
+        for name in RETIRED_EXECUTION_FIELDS:
+            assert name not in StudyConfig.__dataclass_fields__
+            assert name not in FLAT_TO_GROUP
+        with pytest.raises(ValueError, match="unknown"):
+            StudyConfig().with_overrides(engine="flat")
+
+
+class TestGoldenConfigHash:
+    def test_default_config(self):
+        assert StudyConfig().config_hash() == DEFAULT_HASH
+        assert config_hash({}) == DEFAULT_HASH
+
+    @pytest.mark.parametrize(
+        "payload",
+        [_SPELLINGS_FLAT, _SPELLINGS_GROUPED, _SPELLINGS_MIXED],
+        ids=["flat", "grouped", "mixed"],
+    )
+    def test_every_spelling_hashes_alike(self, payload):
+        assert config_hash(payload) == SPELLINGS_HASH
+        assert StudyConfig.from_dict(dict(payload)).config_hash() == (
+            SPELLINGS_HASH
+        )
+
+    def test_scaled_preset(self):
+        from repro.experiments.configs import scaled_config
+
+        config = scaled_config("cifar10", "tiny", executor="batched")
+        assert config.config_hash() == CIFAR_TINY_BATCHED_HASH
+
+    def test_dp_fresh_sampler_dropout(self):
+        config = StudyConfig(
+            name="dp-fresh-dropout",
+            dataset="purchase100",
+            n_nodes=8,
+            rounds=2,
+            dp_epsilon=10.0,
+            sampler="fresh",
+            dropout=0.25,
+            seed=5,
+        )
+        assert config.config_hash() == DP_FRESH_DROPOUT_HASH
+
+    def test_stored_payload_loads_and_hashes_alike(self):
+        payload = json.loads(json.dumps(_STORED_PAYLOAD))
+        assert config_hash(payload) == SPELLINGS_HASH
+        loaded = StudyConfig.from_dict(payload)
+        assert loaded == StudyConfig.from_dict(dict(_SPELLINGS_FLAT))
+        assert loaded.config_hash() == SPELLINGS_HASH

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Study, StudyConfig, VulnerabilityStudy, run_study
+from repro.core.config import RETIRED_EXECUTION_FIELDS
 
 
 def tiny_config(**overrides):
@@ -69,17 +70,19 @@ class TestRunStudy:
         assert result.metadata["protocol"] == "samo"
 
     def test_metadata_records_execution_knobs(self):
-        """Worker/shard sizing is part of the run's provenance: the
-        metadata dict carries it alongside engine/executor."""
+        """Shard sizing is part of the run's provenance: the metadata
+        dict carries it alongside the executor."""
         result = run_study(
             tiny_config(
                 executor="sharded", n_shards=2, shard_partition="balanced"
             )
         )
-        assert result.metadata["engine"] == "flat"
         assert result.metadata["executor"] == "sharded"
-        assert result.metadata["n_workers"] == 0
         assert result.metadata["n_shards"] == 2
+        # Stored result digests hash these bytes: the retired execution
+        # fields stay in the metadata at their surviving values.
+        for key, value in RETIRED_EXECUTION_FIELDS.items():
+            assert result.metadata[key] == value
         assert result.metadata["shard_partition"] == "balanced"
 
     def test_sharded_study_matches_serial_bitwise(self):

@@ -1,10 +1,13 @@
 """Tests for the Campaign API (sweeps, parallelism, resume)."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro import StudyConfig
 from repro.experiments import Campaign, load_result, run_many
+from repro.experiments.runner import _study_process_demand
 
 
 def tiny_config(**overrides):
@@ -114,8 +117,6 @@ class TestExecution:
         assert 1 <= serial.default_jobs() <= 3
         # A sharded study occupies n_shards processes; the campaign must
         # not stack campaign-level jobs on top of them.
-        import os
-
         sharded = Campaign(
             [
                 tiny_config(name=f"sh{i}", executor="sharded", n_shards=4)
@@ -123,6 +124,19 @@ class TestExecution:
             ]
         )
         assert sharded.default_jobs() <= max(1, (os.cpu_count() or 1) // 4)
+
+    @pytest.mark.parametrize("cpus", [1, 3, 16])
+    def test_sharded_demand_matches_started_shards(self, monkeypatch, cpus):
+        """The campaign sizes its pool by the same auto-sizing rule the
+        sharded executor starts its workers with."""
+        from repro.core import Study
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        config = tiny_config(name="auto", executor="sharded", n_shards=0)
+        with Study(config) as study:
+            started = study.simulator.executor().n_shards
+        assert _study_process_demand(config) == started
+        assert started == min(cpus, 8, config.n_nodes)
 
     def test_run_many_empty_list_returns_empty_dict(self):
         assert run_many([]) == {}

@@ -1,4 +1,5 @@
-"""Tests for Base Gossip (Algorithm 1) and SAMO (Algorithm 2)."""
+"""Tests for Base Gossip (Algorithm 1) and SAMO (Algorithm 2) as the
+engine runs them over arena rows."""
 
 import numpy as np
 import pytest
@@ -6,170 +7,176 @@ import pytest
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip import (
     BaseGossipProtocol,
-    GossipNode,
+    FlatGossipSimulator,
     LocalTrainer,
     SAMOProtocol,
+    SimulatorConfig,
     TrainerConfig,
     make_protocol,
 )
 from repro.nn import build_mlp, get_state
-from repro.nn.serialize import average_states, state_to_vector
 
 
-@pytest.fixture
-def env():
-    """Model, trainer, and a couple of nodes with real data."""
+def build(protocol_name, local_epochs=1):
+    """Three nodes; with view size 2, node 0's view is {1, 2}."""
     model = build_mlp(16, 4, hidden=(8,), rng=np.random.default_rng(0))
     trainer = LocalTrainer(
         model,
-        TrainerConfig(learning_rate=0.05, momentum=0.0, local_epochs=1, batch_size=8),
+        TrainerConfig(learning_rate=0.05, momentum=0.0,
+                      local_epochs=local_epochs, batch_size=8),
     )
     train, _ = make_synthetic_tabular_dataset(
         "t", 120, 20, num_features=16, num_classes=4, seed=0
     )
     splits = make_node_splits(train, 3, train_per_node=16, test_per_node=8, seed=0)
-    init = get_state(model)
-    nodes = [
-        GossipNode(
-            node_id=i,
-            state={k: v.copy() for k, v in init.items()},
-            split=splits[i],
-            rng=np.random.default_rng(100 + i),
-        )
-        for i in range(3)
-    ]
-    return model, trainer, nodes, init
+    config = SimulatorConfig(
+        n_nodes=3, view_size=2, ticks_per_round=20, wake_mu=20,
+        wake_sigma=2, seed=0,
+    )
+    return FlatGossipSimulator(
+        config, make_protocol(protocol_name, trainer), splits, get_state(model)
+    )
 
 
-def collect_sends():
-    sent = []
+def row(sim, node_id=0):
+    return np.array(sim.arena.row(node_id))
 
-    def send(sender, receiver, payload):
-        sent.append((sender, receiver, payload))
 
-    return sent, send
+def deliver(sim, payload, receiver=0, sender=1):
+    """One reception at ``receiver``, handed to the protocol at once."""
+    sim._send_vector(sender, receiver, payload)
+    sim._process_pending()
+
+
+def sends(sim):
+    """(sender, receiver) of this tick's not-yet-published sends."""
+    return [(sender, receiver) for sender, receiver, _ in sim._pending]
 
 
 class TestBaseGossip:
-    def test_wake_sends_to_exactly_one_neighbor(self, env):
-        _, trainer, nodes, _ = env
-        protocol = BaseGossipProtocol(trainer)
-        sent, send = collect_sends()
-        protocol.on_wake(nodes[0], view={1, 2}, send=send)
-        assert len(sent) == 1
-        assert sent[0][0] == 0
-        assert sent[0][1] in {1, 2}
+    def test_wake_sends_to_exactly_one_neighbor(self):
+        sim = build("base_gossip")
+        sim._base_wakes([0])
+        assert len(sends(sim)) == 1
+        sender, receiver = sends(sim)[0]
+        assert sender == 0
+        assert receiver in {1, 2}
 
-    def test_wake_with_empty_view_sends_nothing(self, env):
-        _, trainer, nodes, _ = env
-        protocol = BaseGossipProtocol(trainer)
-        sent, send = collect_sends()
-        protocol.on_wake(nodes[0], view=set(), send=send)
-        assert sent == []
+    def test_wake_with_empty_view_sends_nothing(self):
+        sim = build("base_gossip")
+        sim.sampler.view = lambda node_id: set()
+        sim._base_wakes([0])
+        assert sends(sim) == []
 
-    def test_receive_aggregates_pairwise_then_trains(self, env):
-        _, trainer, nodes, init = env
-        protocol = BaseGossipProtocol(trainer)
-        incoming = {k: v + 2.0 for k, v in init.items()}
-        node = nodes[0]
-        before_updates = node.updates_performed
-        protocol.on_receive(node, incoming)
-        assert node.updates_performed == before_updates + 1
-        # The state should be near the pairwise average (training then
-        # perturbs it, but aggregation is exact before local steps).
-        expected_avg = average_states([init, incoming])
-        # After training it moved, but should be closer to the average
-        # than to either endpoint by construction of one small step.
-        d_avg = np.linalg.norm(
-            state_to_vector(node.state) - state_to_vector(expected_avg)
-        )
-        d_init = np.linalg.norm(
-            state_to_vector(node.state) - state_to_vector(init)
-        )
-        assert d_avg < d_init
-
-    def test_receive_does_not_buffer(self, env):
-        _, trainer, nodes, init = env
-        protocol = BaseGossipProtocol(trainer)
-        protocol.on_receive(nodes[0], dict(init))
-        assert nodes[0].inbox == []
-
-    def test_wake_does_not_train(self, env):
+    def test_wake_does_not_train(self):
         """Algorithm 1 trains only on reception."""
-        _, trainer, nodes, _ = env
-        protocol = BaseGossipProtocol(trainer)
-        sent, send = collect_sends()
-        before = nodes[0].updates_performed
-        protocol.on_wake(nodes[0], view={1}, send=send)
-        assert nodes[0].updates_performed == before
+        sim = build("base_gossip")
+        before = row(sim)
+        sim._base_wakes([0])
+        assert sim.nodes[0].updates_performed == 0
+        np.testing.assert_array_equal(row(sim), before)
+
+    def test_receive_aggregates_pairwise_then_trains(self):
+        sim = build("base_gossip")
+        own = row(sim)
+        incoming = own + 2.0
+        deliver(sim, incoming)
+        node = sim.nodes[0]
+        assert node.models_received == 1
+        assert node.updates_performed == 1
+        # Training perturbs the exact pairwise average a little, so the
+        # state stays closer to the average than to its old self.
+        average = (own + incoming) / 2
+        after = row(sim)
+        assert np.linalg.norm(after - average) < np.linalg.norm(after - own)
+
+    def test_receive_does_not_buffer(self):
+        sim = build("base_gossip")
+        deliver(sim, row(sim))
+        assert sim.nodes[0].inbox == []
+
+    def test_every_reception_merges_and_trains(self):
+        """Two receptions published in one flush are merged and trained
+        one after the other, not folded into one update."""
+        sim = build("base_gossip")
+        own = row(sim)
+        sim._send_vector(1, 0, own + 1.0)
+        sim._send_vector(2, 0, own + 2.0)
+        sim._process_pending()
+        assert sim.nodes[0].models_received == 2
+        assert sim.nodes[0].updates_performed == 2
 
 
 class TestSAMO:
-    def test_receive_only_buffers(self, env):
-        _, trainer, nodes, init = env
-        protocol = SAMOProtocol(trainer)
-        before = state_to_vector(nodes[0].state).copy()
-        protocol.on_receive(nodes[0], dict(init))
-        assert len(nodes[0].inbox) == 1
-        np.testing.assert_array_equal(state_to_vector(nodes[0].state), before)
-        assert nodes[0].updates_performed == 0
+    def test_receive_only_buffers(self):
+        sim = build("samo")
+        before = row(sim)
+        deliver(sim, before + 1.0)
+        node = sim.nodes[0]
+        assert len(node.inbox) == 1
+        assert node.models_received == 1
+        assert node.updates_performed == 0
+        np.testing.assert_array_equal(row(sim), before)
 
-    def test_wake_sends_to_all_neighbors(self, env):
-        _, trainer, nodes, _ = env
-        protocol = SAMOProtocol(trainer)
-        sent, send = collect_sends()
-        protocol.on_wake(nodes[0], view={1, 2}, send=send)
-        assert sorted(receiver for _, receiver, _ in sent) == [1, 2]
+    def test_wake_sends_to_all_neighbors(self):
+        sim = build("samo")
+        sim._samo_wakes([0])
+        assert sorted(receiver for _, receiver in sends(sim)) == [1, 2]
 
-    def test_wake_without_inbox_skips_merge_and_training(self, env):
+    def test_wake_without_inbox_skips_merge_and_training(self):
         """Algorithm 2 line 3: only merge/train when |Theta_i| > 1."""
-        _, trainer, nodes, _ = env
-        protocol = SAMOProtocol(trainer)
-        sent, send = collect_sends()
-        before = state_to_vector(nodes[0].state).copy()
-        protocol.on_wake(nodes[0], view={1}, send=send)
-        np.testing.assert_array_equal(state_to_vector(nodes[0].state), before)
-        assert nodes[0].updates_performed == 0
-        assert len(sent) == 1  # still disseminates
+        sim = build("samo")
+        before = row(sim)
+        sim._samo_wakes([0])
+        np.testing.assert_array_equal(row(sim), before)
+        assert sim.nodes[0].updates_performed == 0
+        assert len(sends(sim)) == 2  # still disseminates
 
-    def test_wake_with_inbox_merges_all_then_trains(self, env):
-        _, trainer, nodes, init = env
-        protocol = SAMOProtocol(trainer)
-        m1 = {k: v + 3.0 for k, v in init.items()}
-        m2 = {k: v - 3.0 for k, v in init.items()}
-        protocol.on_receive(nodes[0], m1)
-        protocol.on_receive(nodes[0], m2)
-        sent, send = collect_sends()
-        protocol.on_wake(nodes[0], view={1}, send=send)
-        assert nodes[0].updates_performed == 1
-        assert nodes[0].inbox == []
-        # Average of init, init+3, init-3 is init; state then trained a
-        # little, so it should be near init.
-        drift = np.linalg.norm(
-            state_to_vector(nodes[0].state) - state_to_vector(init)
-        )
-        assert drift < np.linalg.norm(state_to_vector(m1) - state_to_vector(init))
+    def test_wake_merges_buffered_models_once(self):
+        """Own model and every buffered one are averaged in one merge."""
+        sim = build("samo", local_epochs=0)
+        own = row(sim)
+        deliver(sim, own + 3.0, sender=1)
+        deliver(sim, own - 6.0, sender=2)
+        sim._samo_wakes([0])
+        assert sim.nodes[0].updates_performed == 1
+        assert sim.nodes[0].inbox == []
+        np.testing.assert_allclose(row(sim), own - 1.0, rtol=0, atol=1e-12)
 
-    def test_sent_payload_is_snapshot(self, env):
+    def test_wake_with_inbox_merges_then_trains(self):
+        sim = build("samo")
+        own = row(sim)
+        deliver(sim, own + 3.0, sender=1)
+        deliver(sim, own - 3.0, sender=2)
+        sim._samo_wakes([0])
+        assert sim.nodes[0].updates_performed == 1
+        # The merge lands on ``own``; training then moves it a little.
+        drift = np.linalg.norm(row(sim) - own)
+        assert 0 < drift < np.linalg.norm(np.full_like(own, 3.0))
+
+    def test_sent_payload_is_snapshot(self):
         """Mutating the node after sending must not alter the payload."""
-        _, trainer, nodes, _ = env
-        protocol = SAMOProtocol(trainer)
-        sent, send = collect_sends()
-        protocol.on_wake(nodes[0], view={1}, send=send)
-        payload = sent[0][2]
-        before = state_to_vector(payload).copy()
-        for arr in nodes[0].state.values():
-            arr += 100.0
-        np.testing.assert_array_equal(state_to_vector(payload), before)
+        sim = build("samo")
+        sim._samo_wakes([0])
+        payload = sim._pending[0][2]
+        before = payload.copy()
+        sim.arena.data[0] += 100.0
+        np.testing.assert_array_equal(payload, before)
 
 
 class TestFactory:
-    def test_known_names(self, env):
-        _, trainer, _, _ = env
+    def test_known_names(self):
+        trainer = LocalTrainer(
+            build_mlp(8, 2, hidden=(4,), rng=np.random.default_rng(0)),
+            TrainerConfig(),
+        )
         assert isinstance(make_protocol("base_gossip", trainer), BaseGossipProtocol)
         assert isinstance(make_protocol("samo", trainer), SAMOProtocol)
 
-    def test_unknown_name(self, env):
-        _, trainer, _, _ = env
+    def test_unknown_name(self):
+        trainer = LocalTrainer(
+            build_mlp(8, 2, hidden=(4,), rng=np.random.default_rng(0)),
+            TrainerConfig(),
+        )
         with pytest.raises(ValueError):
             make_protocol("epidemic", trainer)

@@ -489,8 +489,8 @@ class TestSharedSegmentLifecycle:
         from repro.gossip import (
             LocalTrainer as LT,
             SimulatorConfig,
+            FlatGossipSimulator,
             make_protocol,
-            make_simulator,
         )
 
         model = MODEL_BUILDER(rng=np.random.default_rng(0))
@@ -508,7 +508,7 @@ class TestSharedSegmentLifecycle:
             n_nodes=6, view_size=2, ticks_per_round=20, wake_mu=20,
             wake_sigma=2, executor="sharded", n_shards=2, seed=0,
         )
-        with make_simulator(
+        with FlatGossipSimulator(
             config, make_protocol("samo", trainer), splits,
             get_state(model), model_builder=MODEL_BUILDER,
         ) as sim:
@@ -531,8 +531,8 @@ class TestSharedSegmentLifecycle:
         from repro.gossip import (
             LocalTrainer as LT,
             SimulatorConfig,
+            FlatGossipSimulator,
             make_protocol,
-            make_simulator,
         )
 
         model = MODEL_BUILDER(rng=np.random.default_rng(0))
@@ -551,7 +551,7 @@ class TestSharedSegmentLifecycle:
             wake_sigma=2, executor="sharded", n_shards=2, seed=0,
         )
         with pytest.raises(RuntimeError, match="boom"):
-            with make_simulator(
+            with FlatGossipSimulator(
                 config, make_protocol("samo", trainer), splits,
                 get_state(model), model_builder=MODEL_BUILDER,
             ) as sim:

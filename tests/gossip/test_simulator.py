@@ -5,14 +5,13 @@ import pytest
 
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip import (
-    GossipSimulator,
+    FlatGossipSimulator,
     LocalTrainer,
     SimulatorConfig,
     TrainerConfig,
     make_protocol,
 )
 from repro.nn import build_mlp, get_state
-from repro.nn.serialize import state_to_vector
 
 
 def build_simulator(
@@ -50,20 +49,25 @@ def build_simulator(
         wake_sigma=ticks_per_round / 10,
         seed=seed,
     )
-    return GossipSimulator(config, protocol, splits, get_state(model)), model
+    return FlatGossipSimulator(config, protocol, splits, get_state(model)), model
+
+
+def vectors(sim):
+    """Every node's model as one row (a copy of the arena)."""
+    return np.array(sim.state_matrix())
 
 
 class TestConstruction:
     def test_all_nodes_start_from_shared_model(self):
         sim, _ = build_simulator()
-        vecs = [state_to_vector(s) for s in sim.states()]
+        vecs = vectors(sim)
         for v in vecs[1:]:
             np.testing.assert_array_equal(v, vecs[0])
 
     def test_rejects_split_count_mismatch(self):
         sim, model = build_simulator()
         with pytest.raises(ValueError):
-            GossipSimulator(
+            FlatGossipSimulator(
                 sim.config, sim.protocol, sim.nodes[0:2], get_state(model)
             )
 
@@ -82,9 +86,9 @@ class TestExecution:
 
     def test_models_diverge_from_init_and_each_other(self):
         sim, _ = build_simulator()
-        init = state_to_vector(sim.states()[0]).copy()
+        init = vectors(sim)[0]
         sim.run(rounds=3)
-        vecs = [state_to_vector(s) for s in sim.states()]
+        vecs = vectors(sim)
         assert any(not np.allclose(v, init) for v in vecs)
         # Nodes hold different data, so models differ across nodes.
         assert any(not np.allclose(vecs[0], v) for v in vecs[1:])
@@ -119,18 +123,14 @@ class TestExecution:
         b, _ = build_simulator(seed=11)
         a.run(rounds=2)
         b.run(rounds=2)
-        for sa, sb in zip(a.states(), b.states()):
-            np.testing.assert_array_equal(state_to_vector(sa), state_to_vector(sb))
+        np.testing.assert_array_equal(vectors(a), vectors(b))
 
     def test_different_seeds_differ(self):
         a, _ = build_simulator(seed=11)
         b, _ = build_simulator(seed=12)
         a.run(rounds=2)
         b.run(rounds=2)
-        assert any(
-            not np.array_equal(state_to_vector(sa), state_to_vector(sb))
-            for sa, sb in zip(a.states(), b.states())
-        )
+        assert not np.array_equal(vectors(a), vectors(b))
 
     def test_dynamic_topology_changes_views(self):
         sim, _ = build_simulator(dynamic=True)
@@ -159,17 +159,20 @@ class TestConvergence:
         Section 4 formalizes."""
         sim, _ = build_simulator(protocol_name="samo", view_size=3, seed=2)
         sim.run(rounds=4)
-        vecs = np.stack([state_to_vector(s) for s in sim.states()])
+        vecs = vectors(sim)
         spread_gossip = np.linalg.norm(vecs - vecs.mean(axis=0), axis=1).mean()
 
         # Isolated: same trainer, no communication.
         iso, _ = build_simulator(protocol_name="samo", view_size=3, seed=2)
         for node in iso.nodes:
-            for _ in range(4):
-                node.state = iso.protocol.trainer.train(
-                    node.state, node.train_x, node.train_y, node.rng
+            state = dict(node.state)
+            for session in range(4):
+                state = iso.protocol.trainer.train(
+                    state, node.train_x, node.train_y, node.rng,
+                    node_id=node.node_id, session=session,
                 )
-        iso_vecs = np.stack([state_to_vector(s) for s in iso.states()])
+            iso.arena.load_state(node.node_id, state)
+        iso_vecs = vectors(iso)
         spread_iso = np.linalg.norm(
             iso_vecs - iso_vecs.mean(axis=0), axis=1
         ).mean()

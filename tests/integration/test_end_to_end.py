@@ -12,14 +12,13 @@ import pytest
 from repro import StudyConfig, run_study
 from repro.data import make_node_splits, make_synthetic_tabular_dataset
 from repro.gossip import (
-    GossipSimulator,
+    FlatGossipSimulator,
     LocalTrainer,
     SimulatorConfig,
     TrainerConfig,
     make_protocol,
 )
 from repro.nn import build_mlp, get_state
-from repro.nn.serialize import state_to_vector
 
 
 def mixing_only_simulator(protocol_name, seed=0, n_nodes=8):
@@ -35,7 +34,7 @@ def mixing_only_simulator(protocol_name, seed=0, n_nodes=8):
     )
     splits = make_node_splits(train, n_nodes, train_per_node=8,
                               test_per_node=4, seed=seed)
-    sim = GossipSimulator(
+    sim = FlatGossipSimulator(
         SimulatorConfig(
             n_nodes=n_nodes, view_size=2, ticks_per_round=20,
             wake_mu=20, wake_sigma=2, seed=seed,
@@ -52,14 +51,19 @@ def mixing_only_simulator(protocol_name, seed=0, n_nodes=8):
     return sim
 
 
+def vectors(sim):
+    """Every node's model as one row (a copy of the arena)."""
+    return np.array(sim.state_matrix())
+
+
 class TestPureMixing:
     @pytest.mark.parametrize("protocol", ["samo", "base_gossip"])
     def test_models_contract_toward_consensus(self, protocol):
         sim = mixing_only_simulator(protocol)
-        vecs = np.stack([state_to_vector(s) for s in sim.states()])
+        vecs = vectors(sim)
         spread_before = np.linalg.norm(vecs - vecs.mean(axis=0), axis=1).mean()
         sim.run(rounds=6)
-        vecs = np.stack([state_to_vector(s) for s in sim.states()])
+        vecs = vectors(sim)
         spread_after = np.linalg.norm(vecs - vecs.mean(axis=0), axis=1).mean()
         assert spread_after < spread_before * 0.7
 
@@ -68,10 +72,10 @@ class TestPureMixing:
         """Averaging can never leave the coordinate-wise convex hull of
         the initial models — a safety property of both protocols."""
         sim = mixing_only_simulator(protocol)
-        vecs = np.stack([state_to_vector(s) for s in sim.states()])
+        vecs = vectors(sim)
         lo, hi = vecs.min(axis=0), vecs.max(axis=0)
         sim.run(rounds=4)
-        after = np.stack([state_to_vector(s) for s in sim.states()])
+        after = vectors(sim)
         assert np.all(after >= lo - 1e-9)
         assert np.all(after <= hi + 1e-9)
 
@@ -80,7 +84,7 @@ class TestPureMixing:
         def final_spread(protocol):
             sim = mixing_only_simulator(protocol, seed=1)
             sim.run(rounds=4)
-            vecs = np.stack([state_to_vector(s) for s in sim.states()])
+            vecs = vectors(sim)
             return np.linalg.norm(vecs - vecs.mean(axis=0), axis=1).mean()
 
         assert final_spread("samo") < final_spread("base_gossip")

@@ -14,6 +14,8 @@ uninterrupted ``run_study``.
 from __future__ import annotations
 
 import json
+import logging
+import pickle
 import shutil
 import threading
 
@@ -315,6 +317,97 @@ class TestRecoveryStateMapping:
         assert (tmp_path / "journal.jsonl").read_text() == ""
         job = self._manager(tmp_path).get("job-000001")
         assert job.state == CANCELLED
+
+
+# -- stored configs from before the engine/n_workers removal -------------
+
+# config_hash of tiny_study_payload(), pinned: journals written before
+# the removal keyed this job by exactly this digest.
+TINY_PAYLOAD_HASH = (
+    "b19740fe1f5cdd2e40d1489c994cfb0829ab24f430031f7d74e67272e47dcde7"
+)
+
+
+def stored_config(engine: str = "flat") -> dict:
+    """normalized_config() as builds that still had the retired fields
+    wrote it: their execution group carried an engine and a pool size."""
+    config = normalized_config()
+    config["execution"].update({"engine": engine, "n_workers": 0})
+    return config
+
+
+class TestRecoveryAcrossFieldRemoval:
+    def test_stored_jobs_recover_under_their_hash(
+        self, tmp_path, make_service, make_client, caplog
+    ):
+        result = run_study(StudyConfig.from_dict(tiny_study_payload()))
+        journal = JobJournal(tmp_path)
+        for event in (
+            {"event": "submitted", "job": "job-000001",
+             "config": stored_config(), "config_hash": TINY_PAYLOAD_HASH},
+            {"event": "state", "job": "job-000001", "state": "running",
+             "builds": 1},
+            {"event": "done", "job": "job-000001",
+             "result": result.to_json()},
+            # The legacy dict engine is gone; this job cannot come back.
+            {"event": "submitted", "job": "job-000002",
+             "config": stored_config("dict"),
+             "config_hash": "0" * 64},
+        ):
+            journal.append(event)
+        journal.close()
+
+        with caplog.at_level(logging.WARNING, logger="repro.service.jobs"):
+            service = make_service(state_dir=tmp_path, checkpoint_dir=None)
+        assert "stored config no longer loads" in caplog.text
+        assert "job-000002" in caplog.text
+        manager = service.manager
+        assert manager.get("job-000002") is None
+        job = manager.get("job-000001")
+        assert job.state == DONE
+        assert job.config_hash == TINY_PAYLOAD_HASH
+        assert manager.hash_index() == {TINY_PAYLOAD_HASH: "job-000001"}
+
+        client = make_client(service)
+        status, headers, body = client.submit(tiny_study_payload())
+        assert status == 200
+        assert headers["X-Cache"] == "hit"
+        assert body["id"] == "job-000001"
+        assert body["config_hash"] == TINY_PAYLOAD_HASH
+        assert manager.builds_performed == 1  # nothing was rebuilt
+        _, _, stored = client.get("/studies/job-000001/result")
+        assert stored.decode("utf-8") == result.to_json()
+
+    def test_resume_accepts_checkpoint_with_retired_entries(self, tmp_path):
+        """Checkpoints written before the removal carry the stored
+        config form, the shared trainer's session tally and a per-node
+        ``model: None``; they resume bit-identically."""
+        from repro.core.study import Study
+
+        config = StudyConfig.from_dict(tiny_study_payload())
+        reference = run_study(config)
+        path = tmp_path / "old.ckpt"
+        with Study(config) as study:
+            next(study.iter_rounds())
+            study.checkpoint(path)
+        payload = pickle.loads(path.read_bytes())
+        payload["config"] = stored_config()
+        simulator = payload["simulator"]
+        simulator["trainer_sessions"] = {}
+        simulator["trainer_steps"] = 0
+        for node in simulator["nodes"]:
+            node["model"] = None
+        path.write_bytes(pickle.dumps(payload))
+
+        resumed = Study.resume(path)
+        try:
+            assert resumed.config == config
+            assert resumed.config.config_hash() == config.config_hash()
+            list(resumed.iter_rounds())
+            result = resumed.result()
+        finally:
+            resumed.close()
+        assert result.to_json() == reference.to_json()
 
 
 # -- end-to-end restart contract (the ISSUE acceptance path) -------------

@@ -55,16 +55,15 @@ class TestStudy:
         payload = json.loads(out_json.read_text())
         assert payload["metadata"]["sampler"] == "fresh"
 
-    def test_flat_engine_flag(self, tmp_path):
+    def test_arena_dtype_flag(self, tmp_path):
         out_json = tmp_path / "run.json"
         code = main([
             "study", "--rounds", "1", "--nodes", "6",
-            "--engine", "flat", "--arena-dtype", "float32",
+            "--arena-dtype", "float32",
             "--out", str(out_json),
         ])
         assert code == 0
         payload = json.loads(out_json.read_text())
-        assert payload["metadata"]["engine"] == "flat"
         assert payload["metadata"]["executor"] == "serial"
 
     def test_sharded_executor_flags(self, tmp_path):
@@ -80,7 +79,6 @@ class TestStudy:
         assert payload["metadata"]["executor"] == "sharded"
         assert payload["metadata"]["n_shards"] == 2
         assert payload["metadata"]["shard_partition"] == "balanced"
-        assert payload["metadata"]["n_workers"] == 0
 
     def test_rejects_unknown_dataset(self):
         with pytest.raises(SystemExit):

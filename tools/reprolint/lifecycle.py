@@ -1,8 +1,8 @@
 """Resource-lifecycle rules (the ``lifecycle-*`` family).
 
 The project pass collects every class in ``src/`` that defines or
-inherits ``close()`` — SharedArena, the executors, GossipSimulator,
-Study, JobManager, JobJournal, StudyService. Instantiating one takes
+inherits ``close()`` — SharedArena, the executors,
+FlatGossipSimulator, Study, JobManager, JobJournal, StudyService. Instantiating one takes
 on a release obligation (PR 4's shared-memory segments leak into
 ``/dev/shm`` if dropped; executors leak worker processes), so
 ``lifecycle-unmanaged`` flags a bare constructor call unless the
