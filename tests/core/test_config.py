@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import StudyConfig
 from repro.core.config import (
@@ -377,3 +379,352 @@ class TestGoldenConfigHash:
         loaded = StudyConfig.from_dict(payload)
         assert loaded == StudyConfig.from_dict(dict(_SPELLINGS_FLAT))
         assert loaded.config_hash() == SPELLINGS_HASH
+
+
+# One non-default value per StudyConfig field, and the config_hash of
+# a config that differs from the defaults in that field only. The
+# digest covers the stored grouped layout, so a field that moves to
+# another group (or is renamed, or changes default) fails by name.
+# Each entry: (group in the stored layout, None for a top-level key;
+# value; digest).
+FIELD_PINS = {
+    "name": (
+        None,
+        "pinned",
+        "8dbc11d822184dd55dc037f76a5b733bbc9cda6ac80f6de750c0f277c2bb2302",
+    ),
+    "seed": (
+        None,
+        1,
+        "74ed33b63633953632f537b847bf0a0e2bfc7b93747c30b805f1226abcf25991",
+    ),
+    "dataset": (
+        "data",
+        "purchase100",
+        "8e9b3510eb42be337f3908cb5a9d3e9cc8cffc9ebf4541f530e777eef336518b",
+    ),
+    "n_train": (
+        "data",
+        1000,
+        "dbc799862017bd82fefd3301f16348d0f05d9488f8a6a519f70c6d6df99c5eb2",
+    ),
+    "n_test": (
+        "data",
+        250,
+        "b50f46d93c1a4fd1bb0e3d6988c2960459b9bfa0de914c83a8455e49965f47e8",
+    ),
+    "image_size": (
+        "data",
+        8,
+        "273103626654a002bfd9172ac127aae3f7e8a85744a3f35122b3a77b93f56ec1",
+    ),
+    "num_features": (
+        "data",
+        64,
+        "5b5dec08618a584b2340096d3f046e0e408b69afcd40a6326e40212c5cfbbbf1",
+    ),
+    "train_per_node": (
+        "data",
+        16,
+        "ca4046da5dd2c47a26d05a3e0d11d242e5fc906d7ac7077b20f4a5af1c29bfa7",
+    ),
+    "test_per_node": (
+        "data",
+        8,
+        "21cbf7b4845fdc0d830ff3b6babddd5c7ce7817ce53c154216e234d5ad486ba3",
+    ),
+    "beta": (
+        "data",
+        0.5,
+        "ba0776f4a61053dc91f0248b5440d87cc8f4d0a9c333de86ec7fbb23dcdcf871",
+    ),
+    "model_width": (
+        "model",
+        4,
+        "d4fc240ad2ae9b4986410c844f23c7fc36ac6b5126f0f5001cd77f15efec8cc2",
+    ),
+    "mlp_hidden": (
+        "model",
+        (32, 16),
+        "ab344867e83d26c2c40ae3e7aa68d2b943d96fee9842e13762242e4c712b5e03",
+    ),
+    "learning_rate": (
+        "model",
+        0.05,
+        "a5e2095246fc997a263f2d636f455b5fcb773760095ed921ab5c6b462c66f2db",
+    ),
+    "momentum": (
+        "model",
+        0.5,
+        "b5a837cbc52a3e1308560308b9d5438a137d09624f43b5bd32b6ed04d19ca582",
+    ),
+    "weight_decay": (
+        "model",
+        0.0,
+        "5afbcf2d67ddfb30ed0b8d7cf548c6c9124ff3910488913fcc854a4494529de3",
+    ),
+    "local_epochs": (
+        "model",
+        1,
+        "d93522c0fb98443226707127858bd75f84986c7162a17bae1073d3f811bdded2",
+    ),
+    "batch_size": (
+        "model",
+        16,
+        "39b923268b03ce4f4c87ff0da9fc5b47a3e12cc96b5bd349b35bc37baad6d938",
+    ),
+    "label_smoothing": (
+        "model",
+        0.1,
+        "8c7295b0ca3eef0dee54aaa028c1fc2658647fea37e6fef782dc562610d1dfce",
+    ),
+    "lr_decay": (
+        "model",
+        0.9,
+        "515d22a1703f5cd055ae44c1d935b894f086beac5a1dd1408200eaefd85ed16e",
+    ),
+    "dropout": (
+        "model",
+        0.25,
+        "74d17d154822d18e1d0e3a1977d663eaed931c72f775158d3f4053ba084e5bd3",
+    ),
+    "dropout_mode": (
+        "model",
+        "legacy",
+        "cf1c66ca4a875d602d116740ca39cd31bf32b8c00c0edbf7640aff8d1a8f314e",
+    ),
+    "n_nodes": (
+        "topology",
+        8,
+        "58243d41d13ea45bb9ffe87181bfc7ad2bc7b9be60ad6124e0c8b8976d33c6d4",
+    ),
+    "view_size": (
+        "topology",
+        3,
+        "ec03f8de17b399c45e9b61882877c9b92889ceaa4c50297a6b10b0447d9a1004",
+    ),
+    "dynamic": (
+        "topology",
+        True,
+        "0b9b2d01dceec1f6258f5a059b8d6f971f9de1cdd6734d02cd284f1af54a3313",
+    ),
+    "sampler": (
+        "topology",
+        "fresh",
+        "af6202e180af16741d1a7aefb1f0391e99d9f0d4ae4879a8b37fff3ca4b8db31",
+    ),
+    "protocol": (
+        "topology",
+        "base_gossip",
+        "ff637773b07a6d835f83b5c862da24c4c4e7e38ea389ec51d52768963af8da61",
+    ),
+    "rounds": (
+        "topology",
+        5,
+        "0cdd9448c3ab7f34313b958d499f38f160d635209c8aa0a5dedeb206f8a49a54",
+    ),
+    "ticks_per_round": (
+        "topology",
+        50,
+        "fdd4d6711f7312b0f9d1401574c106a3668b2aab251035ee59efe92f11de0396",
+    ),
+    "drop_prob": (
+        "topology",
+        0.1,
+        "29fd429a9772521a4450557d61c0ef28ea742f0e3cf737e225c22c4d21173d52",
+    ),
+    "failure_prob": (
+        "topology",
+        0.05,
+        "70f4285595d8dbc6faf574b60d4ba660bd08c58d70e4c27071bdac1cd0086f6d",
+    ),
+    "delay_ticks": (
+        "topology",
+        2,
+        "c3d15594a0eef7e125c4e1d6b9de2803518cbe07414588e2f553d832d2a2ff4c",
+    ),
+    "delay_jitter": (
+        "topology",
+        1,
+        "424b9275063bee7be31fd5e4f518b88681df5730bc54285c87185d8e9e5064fc",
+    ),
+    "executor": (
+        "execution",
+        "batched",
+        "d40ace0cd42450de2de87c871c0ea5e59287e3023edc95c27f4493f68a72f19b",
+    ),
+    "n_shards": (
+        "execution",
+        2,
+        "569048732e6642dabe79bca6c4ccb4edfe5dcca6f26d9d786bcefa1691cf554b",
+    ),
+    "shard_partition": (
+        "execution",
+        "balanced",
+        "84f75a088ec17f4a72b2bb9e81ca0177b6cc7bd7580289b8cc823dc22f59eadc",
+    ),
+    "train_batch": (
+        "execution",
+        4,
+        "7b9117158170443fc66b162625b6d793b24259c54bb07eafebe46f49c31a8b13",
+    ),
+    "arena_dtype": (
+        "execution",
+        "float32",
+        "b5c84ad3e1587d67fe5055a4dc5b873be39dea1504e0c061256f20c8b0e1071c",
+    ),
+    "eval_batch": (
+        "execution",
+        -1,
+        "697b9db4e7870500695573a5b8d531fb6f1908fb156cdcc207c58a88bdf54954",
+    ),
+    "max_global_test": (
+        "execution",
+        128,
+        "b40c52c3516259f43027fc6b1f61a7d02deefd712e4d6050e08d656341d149b3",
+    ),
+    "max_attack_samples": (
+        "execution",
+        64,
+        "d4dd4a3494202fd8910a40fe0d7c9cac9b9ce59a9e5f8e562cb120b18b8e310c",
+    ),
+    "keep_node_records": (
+        "execution",
+        True,
+        "9238886ee9ebc036ead46cc5403ab0dcbcf0ff93d72a9b9331ae082ee0cecab3",
+    ),
+    "dp_epsilon": (
+        "privacy",
+        10.0,
+        "1f39482a8320e16e7e485970a49c31245426b291b30e5076273e7cf43f374f04",
+    ),
+    "dp_delta": (
+        "privacy",
+        1e-06,
+        "602e2a2a6a3a90daed5eae89aa083a34e7b54fe52494877938143cecfff10da7",
+    ),
+    "dp_clip_norm": (
+        "privacy",
+        2.0,
+        "df761c606110807c3409ea3372516c3f1e7abe8335b31bdf60eeab91ec2247af",
+    ),
+    "n_canaries": (
+        "privacy",
+        4,
+        "d8b73809f8bc97bea8b6150d9a8e5dc5b204da4e8eabeaecb82ed9b1100ad213",
+    ),
+}
+
+
+class TestFieldPins:
+    def test_every_field_is_pinned(self):
+        assert set(FIELD_PINS) == set(StudyConfig.__dataclass_fields__)
+
+    @pytest.mark.parametrize("field_name", sorted(FIELD_PINS))
+    def test_field_layout_and_digest(self, field_name):
+        group, value, digest = FIELD_PINS[field_name]
+        config = StudyConfig(**{field_name: value})
+        stored = config.to_dict()
+        json_value = list(value) if isinstance(value, tuple) else value
+        if group is None:
+            assert stored[field_name] == json_value
+            grouped = {field_name: value}
+        else:
+            assert stored[group][field_name] == json_value
+            grouped = {group: {field_name: value}}
+        assert config.config_hash() == digest
+        assert config_hash(grouped) == digest
+        assert config_hash({field_name: value}) == digest
+
+
+@st.composite
+def valid_configs(draw):
+    """Any StudyConfig the validation accepts (not only runnable ones)."""
+    n_nodes = draw(st.integers(2, 64))
+    optional_size = st.one_of(st.none(), st.integers(1, 256))
+    unit = st.floats(0.0, 0.99, allow_nan=False)
+    positive = st.floats(1e-4, 100.0, allow_nan=False)
+    return StudyConfig(
+        name=draw(st.text(max_size=8)),
+        seed=draw(st.integers(0, 2**31 - 1)),
+        dataset=draw(
+            st.sampled_from(["cifar10", "cifar100", "fashion_mnist", "purchase100"])
+        ),
+        n_train=draw(st.integers(1, 5000)),
+        n_test=draw(st.integers(1, 5000)),
+        image_size=draw(st.integers(1, 32)),
+        num_features=draw(st.integers(1, 1000)),
+        train_per_node=draw(optional_size),
+        test_per_node=draw(optional_size),
+        beta=draw(st.one_of(st.none(), positive)),
+        model_width=draw(st.integers(1, 16)),
+        mlp_hidden=tuple(draw(st.lists(st.integers(1, 512), max_size=4))),
+        learning_rate=draw(positive),
+        momentum=draw(unit),
+        weight_decay=draw(unit),
+        local_epochs=draw(st.integers(0, 5)),
+        batch_size=draw(st.integers(1, 128)),
+        label_smoothing=draw(unit),
+        lr_decay=draw(st.floats(0.01, 1.0, allow_nan=False)),
+        dropout=draw(unit),
+        n_nodes=n_nodes,
+        view_size=draw(st.integers(1, n_nodes - 1)),
+        dynamic=draw(st.booleans()),
+        sampler=draw(st.sampled_from([None, "static", "peerswap", "fresh"])),
+        protocol=draw(st.sampled_from(["samo", "base_gossip"])),
+        rounds=draw(st.integers(1, 50)),
+        ticks_per_round=draw(st.integers(1, 200)),
+        drop_prob=draw(unit),
+        failure_prob=draw(unit),
+        delay_ticks=draw(st.integers(0, 5)),
+        delay_jitter=draw(st.integers(0, 5)),
+        executor=draw(st.sampled_from(["serial", "batched", "sharded"])),
+        n_shards=draw(st.integers(0, 8)),
+        shard_partition=draw(st.sampled_from(["contiguous", "balanced"])),
+        train_batch=draw(st.integers(-1, 64)),
+        arena_dtype=draw(st.sampled_from(["float32", "float64"])),
+        eval_batch=draw(st.integers(-1, 64)),
+        max_global_test=draw(st.integers(1, 1024)),
+        max_attack_samples=draw(st.integers(1, 1024)),
+        keep_node_records=draw(st.booleans()),
+        dp_epsilon=draw(st.one_of(st.none(), positive)),
+        dp_delta=draw(st.floats(1e-9, 0.5, allow_nan=False)),
+        dp_clip_norm=draw(positive),
+        n_canaries=draw(st.integers(0, 16)),
+    )
+
+
+def _shuffled(mapping: dict, rnd) -> dict:
+    items = list(mapping.items())
+    rnd.shuffle(items)
+    return dict(items)
+
+
+class TestGeneratedConfigs:
+    @given(valid_configs())
+    def test_json_round_trip(self, config):
+        payload = json.loads(json.dumps(config.to_dict()))
+        assert StudyConfig.from_dict(payload) == config
+
+    @given(valid_configs(), st.randoms(use_true_random=False))
+    def test_every_spelling_hashes_alike(self, config, rnd):
+        grouped = config.to_dict()
+        flat = {}
+        # Mixed: each group spelled flat or nested, with the keys of
+        # every mapping in shuffled order.
+        mixed = {}
+        for key, value in grouped.items():
+            if not isinstance(value, dict):
+                flat[key] = mixed[key] = value
+                continue
+            flat.update(value)
+            if rnd.random() < 0.5:
+                mixed.update(value)
+            else:
+                mixed[key] = _shuffled(value, rnd)
+        mixed = _shuffled(mixed, rnd)
+        digest = config.config_hash()
+        assert config_hash(flat) == digest
+        assert config_hash(grouped) == digest
+        assert config_hash(mixed) == digest
+        assert StudyConfig.from_dict(mixed) == config
