@@ -2,7 +2,7 @@
 
 Acceptance property of the session/campaign PR: a 4-study
 :class:`~repro.experiments.Campaign` run with a process pool on a
-machine with >= 2 CPUs beats the serial ``run_many`` loop wall-clock
+machine with >= 2 CPUs beats the serial ``jobs=1`` loop wall-clock
 (the loop runs the same studies one after another in-process). Results
 must be bit-identical between the two paths — parallelism across
 studies, like parallelism within one, must never change numbers.
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.study import StudyConfig
-from repro.experiments import Campaign, run_many
+from repro.experiments import Campaign
 
 from benchmarks.conftest import print_series, run_once, update_bench_json
 
@@ -67,7 +67,7 @@ class TestCampaignThroughput:
         configs = [
             c.with_overrides(rounds=2, n_nodes=8) for c in _campaign_configs()
         ]
-        serial = run_many(configs)  # jobs=1, in-process
+        serial = Campaign(configs).run(jobs=1)  # in-process
         parallel = Campaign(configs).run(jobs=2)
         assert list(serial) == list(parallel)
         for name in serial:
@@ -94,7 +94,7 @@ class TestCampaignThroughput:
         configs = _campaign_configs()
 
         start = time.perf_counter()
-        serial = run_many(configs)
+        serial = Campaign(configs).run(jobs=1)
         serial_time = time.perf_counter() - start
 
         campaign = Campaign(configs)
@@ -122,6 +122,6 @@ class TestCampaignThroughput:
         print(f"campaign speedup: {speedup:.1f}x ({jobs} jobs)")
         assert speedup > 1.0, (
             f"a {N_STUDIES}-study campaign with {jobs} jobs was not "
-            f"faster than the serial run_many loop "
+            f"faster than the serial jobs=1 loop "
             f"({speedup:.2f}x; required: > 1x)"
         )

@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from repro.core import StudyConfig, VulnerabilityStudy
+from repro.core import Study, StudyConfig
 
 SMOKE = os.environ.get("REPRO_EXAMPLES_SCALE") == "smoke"
 from repro.metrics.evaluation import predict_proba
@@ -22,7 +22,7 @@ from repro.privacy import ATTACKS, run_attack
 
 
 def main() -> None:
-    study = VulnerabilityStudy(
+    with Study(
         StudyConfig(
             name="attack-comparison",
             dataset="purchase100",
@@ -40,8 +40,8 @@ def main() -> None:
             batch_size=16,
             seed=0,
         )
-    )
-    result = study.run()
+    ) as study:
+        result = study.run()
     print(
         f"trained {study.config.n_nodes} nodes for "
         f"{study.config.rounds} rounds; final generalization error "
@@ -76,7 +76,6 @@ def main() -> None:
         "like a member to entropy but not to MPE. The paper uses MPE "
         "as its worst-case-yet-cheap privacy probe."
     )
-    study.close()
 
 
 if __name__ == "__main__":

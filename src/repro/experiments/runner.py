@@ -5,7 +5,7 @@ A :class:`Campaign` is an ordered set of uniquely-named
 
 * **sweep builders** — :meth:`Campaign.from_grid` (cartesian product)
   and :meth:`Campaign.from_zip` (element-wise) derive configs from a
-  base config by overriding flat knobs or whole config groups;
+  base config by overriding its fields;
 * **parallel execution** — :meth:`Campaign.run` fans independent
   studies out over a process pool, sizing it so per-study shard
   workers (``n_shards``) do not oversubscribe the machine;
@@ -15,8 +15,6 @@ A :class:`Campaign` is an ordered set of uniquely-named
   ``<name>.json`` immediately; a re-run loads finished studies from
   disk and only executes the missing ones, so an interrupted campaign
   continues where it stopped.
-
-:func:`run_many` stays as the serial compat wrapper.
 """
 
 from __future__ import annotations
@@ -26,15 +24,17 @@ import os
 from itertools import product
 from time import perf_counter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from repro.core.study import StudyConfig, run_study
+from repro.core.config import StudyConfig, config_hash
+from repro.core.study import run_study
 from repro.experiments.io import load_result, save_result
 from repro.gossip.shard import shard_count
 from repro.metrics.records import RunResult
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
-__all__ = ["Campaign", "run_experiment", "run_many"]
+__all__ = ["Campaign"]
+
 
 def _study_process_demand(config: StudyConfig) -> int:
     """Worker processes one study will occupy while running."""
@@ -54,6 +54,14 @@ def _run_study_timed(
     started = perf_counter()
     result = run_study(config)
     return result, started - submitted_ts, perf_counter() - started
+
+
+def _same_config(stored, config: StudyConfig) -> bool:
+    """Whether a stored manifest entry describes ``config``."""
+    try:
+        return config_hash(stored) == config.config_hash()
+    except (ValueError, TypeError):
+        return False
 
 
 def _axis_values(name: str, values) -> list:
@@ -134,8 +142,8 @@ class Campaign:
         out_dir: str | Path | None = None,
         **axes,
     ) -> "Campaign":
-        """Cartesian product over ``axes`` (flat knobs or group names),
-        in keyword order."""
+        """Cartesian product over ``axes`` (config fields), in keyword
+        order."""
         if not axes:
             raise ValueError("from_grid needs at least one sweep axis")
         axis_values = {
@@ -192,6 +200,9 @@ class Campaign:
         Config names encode only the sweep axes, so a changed base
         config (e.g. a different ``--set rounds=``) would otherwise
         silently serve stale results under the new campaign's labels.
+        Entries are compared by ``config_hash``, so one written by an
+        older version (carrying retired fields) still matches; an entry
+        that no longer loads is a mismatch.
         """
         if self.out_dir is None:
             return
@@ -200,7 +211,7 @@ class Campaign:
             manifest = json.loads(self.manifest_path.read_text())
         for config in self.configs:
             stored = manifest.get(config.name)
-            if stored is not None and stored != config.to_dict():
+            if stored is not None and not _same_config(stored, config):
                 raise ValueError(
                     f"out_dir {self.out_dir} holds results for a different "
                     f"configuration of {config.name!r} (see "
@@ -252,7 +263,7 @@ class Campaign:
         keyed by config name, in config order.
 
         ``jobs`` is the number of studies in flight at once: 1 runs
-        them serially in-process (the exact ``run_many`` code path),
+        them serially in-process,
         ``None`` picks :meth:`default_jobs`. Each finished study is
         persisted to ``out_dir`` immediately (atomic writes), so a
         killed campaign loses at most the studies that were mid-run;
@@ -334,25 +345,3 @@ class Campaign:
                 if first_error is not None:
                     raise first_error
         return {config.name: results[config.name] for config in self.configs}
-
-
-def run_experiment(config: StudyConfig) -> RunResult:
-    """Run one configured study (alias of :func:`repro.core.run_study`)."""
-    return run_study(config)
-
-
-def run_many(
-    configs: list[StudyConfig],
-    jobs: int = 1,
-    out_dir: str | Path | None = None,
-) -> dict[str, RunResult]:
-    """Run several studies and key results by config name.
-
-    Compat wrapper over :class:`Campaign`; the default ``jobs=1``
-    preserves the historical serial in-process behavior bit for bit
-    (including the empty-list case, which returns ``{}``).
-    Names must be unique — figures rely on them as series labels.
-    """
-    if not configs:
-        return {}
-    return Campaign(configs, out_dir=out_dir).run(jobs=jobs)

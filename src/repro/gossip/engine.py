@@ -257,13 +257,13 @@ def fallback_reason(
     shared by :class:`BatchedExecutor` and the shard workers. Reasons:
 
     * ``"no_batched_backward"`` — the model has a layer without a
-      blocked train-mode backward (e.g. legacy-mode dropout).
+      blocked train-mode backward (a custom layer).
     * ``"forced_per_row"`` — ``train_batch == -1`` explicitly disables
       blocking.
     * ``"empty_split"`` — the node owns no training samples (the
       trainer no-ops).
 
-    DP-SGD and stream-mode dropout are deliberately NOT reasons: both
+    DP-SGD and dropout are deliberately NOT reasons: both
     ride the blocked path since the vectorized per-sample-gradient
     refactor.
     """
@@ -350,7 +350,7 @@ class BatchedExecutor(Executor):
     local-sample count (lockstep mini-batch geometry); ``train_batch``
     caps the rows per block (0 = one block per group, N > 0 = chunks of
     N, -1 = force the per-row path). DP-SGD rides the blocked path
-    (vectorized per-sample gradients) and so does stream-mode dropout
+    (vectorized per-sample gradients) and so does dropout
     (counter-based mask streams); the remaining per-row fallbacks —
     see :func:`fallback_reason` — run on the shared workspace trainer
     and are tallied in ``fallback_counts``. Results match
@@ -374,7 +374,7 @@ class BatchedExecutor(Executor):
         self.layout = layout
         self.splits = as_split_arrays(splits)
         self.block_size = train_batch
-        # Models without a batched backward (legacy-mode dropout) run
+        # Models without a batched backward (custom layers) run
         # entirely on the per-row fallback; constructing the blocked
         # trainer would raise for them.
         self._supported = supports_batched_backward(trainer.model)
@@ -392,11 +392,6 @@ class BatchedExecutor(Executor):
     def train_batch(
         self, tasks: list[UpdateTask]
     ) -> list[tuple[np.ndarray, np.random.Generator]]:
-        # Config may have been swapped after construction (legacy
-        # direct-assignment path); re-read it.
-        config = self.trainer.config
-        if self.batched is not None:
-            self.batched.config = config
         results: list = [None] * len(tasks)
         groups: dict[int, list[int]] = {}
         fallback: list[int] = []
@@ -590,7 +585,6 @@ class FlatGossipSimulator:
                     n_shards=self.config.n_shards,
                     train_batch=self.config.train_batch,
                     partition=self.config.shard_partition,
-                    trainer=trainer,
                     telemetry=self.telemetry,
                 )
             else:

@@ -249,11 +249,10 @@ def _shard_worker(
                 continue
             _, items, new_config = message
             if new_config is not None:
-                # The shared trainer's config was swapped after this
-                # worker spawned (DP install does that); mirror it —
-                # the internal BatchedExecutor re-reads trainer.config
-                # on every call, exactly like the single-process path.
-                trainer.set_config(new_config)
+                # The config was swapped after this worker spawned (DP
+                # install does that); mirror it like the single-process
+                # path does.
+                executor.set_config(new_config)
             tasks = [
                 UpdateTask(
                     node_id,
@@ -380,11 +379,9 @@ class ShardedExecutor(Executor):
     ``close``/context manager does); workers are daemons, so even an
     abandoned executor cannot outlive its process.
 
-    When the engine passes its live ``trainer``, config swaps made
-    after construction (DP installation replaces the dataclass on the
-    shared trainer) are pushed to the involved shards alongside the
-    next batch, mirroring the batched executor's per-call config
-    re-read; without a trainer the construction-time config is final.
+    A config swapped in with :meth:`set_config` after construction (DP
+    installation) is pushed to each involved shard alongside its next
+    batch.
     """
 
     name = "sharded"
@@ -400,7 +397,6 @@ class ShardedExecutor(Executor):
         n_shards: int = 0,
         train_batch: int = 0,
         partition: str = "contiguous",
-        trainer: "LocalTrainer | None" = None,
         telemetry: Telemetry | None = None,
     ):
         if model_builder is None:
@@ -436,11 +432,9 @@ class ShardedExecutor(Executor):
             self._shard_of[rows] = shard
         self._data = arena.data
         self._closed = False
-        # When the engine hands us its live trainer, follow config
-        # swaps made after construction (the batched executor re-reads
-        # trainer.config per call; shards get the delta pushed).
-        self._trainer = trainer
-        self._config_override: TrainerConfig | None = None
+        # The current config, and the one each shard last received;
+        # a swap is pushed to a shard with its next batch.
+        self._config = trainer_config
         self._shard_config: list[TrainerConfig] = []
         self._observe_ready = False
         # Shard workers record into worker-local registries; replies
@@ -477,20 +471,12 @@ class ShardedExecutor(Executor):
             self._shard_config.append(trainer_config)
 
     def set_config(self, config: TrainerConfig) -> None:
-        """Swap the trainer config; shards get it with their next batch.
-
-        Goes through the live trainer when the engine handed one over
-        (so the single-process side revalidates too); otherwise the new
-        config is stored and diff-pushed like any other swap.
-        """
+        """Swap the trainer config; shards get it with their next batch."""
         if not isinstance(config, TrainerConfig):
             raise TypeError(
                 f"expected a TrainerConfig, got {type(config).__name__}"
             )
-        if self._trainer is not None:
-            self._trainer.set_config(config)
-        else:
-            self._config_override = config
+        self._config = config
 
     def train_batch(
         self, tasks: list[UpdateTask]
@@ -500,18 +486,13 @@ class ShardedExecutor(Executor):
         by_shard: dict[int, list[int]] = {}
         for i, task in enumerate(tasks):
             by_shard.setdefault(int(self._shard_of[task.node_id]), []).append(i)
-        config = (
-            self._trainer.config
-            if self._trainer is not None
-            else self._config_override
-        )
         # Fan out to every involved shard first; they train in
         # parallel while we collect replies in the same order.
         for shard, indices in by_shard.items():
             push = None
-            if config is not None and config != self._shard_config[shard]:
-                self._shard_config[shard] = config
-                push = config
+            if self._config != self._shard_config[shard]:
+                self._shard_config[shard] = self._config
+                push = self._config
             try:
                 self._conns[shard].send(
                     (_TRAIN, encode_tasks([tasks[i] for i in indices]), push)

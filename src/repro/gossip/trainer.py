@@ -226,9 +226,9 @@ class BatchedTrainer:
     Constraints the caller (the batched executor) enforces by grouping:
     every row of a block must hold the same number of local samples
     (lockstep mini-batch geometry); models without a batched backward
-    (e.g. legacy-mode dropout) stay on the per-row path. DP-SGD rides
-    the fast path via :meth:`_dp_train_block`, and stream-mode dropout
-    via per-row counter-based mask streams.
+    (custom layers) stay on the per-row path. DP-SGD rides the fast
+    path via :meth:`_dp_train_block`, and dropout via per-row
+    counter-based mask streams.
     """
 
     def __init__(
@@ -309,14 +309,14 @@ class BatchedTrainer:
         generator (mutated — batch orders draw from it exactly as the
         serial path would), ``sessions[b]`` its lr_decay session index.
         ``node_ids[b]`` keys row b's dropout mask streams; required
-        when the model has stream-mode dropout layers.
+        when the model has dropout layers.
         """
         b = params.shape[0]
         if not (len(xs) == len(ys) == len(rngs) == len(sessions) == b):
             raise ValueError("need one split/rng/session per block row")
         if self._stream_layers and node_ids is None:
             raise ValueError(
-                "model has stream-mode dropout; pass node_ids so each "
+                "model has dropout; pass node_ids so each "
                 "row draws its own mask streams"
             )
         if node_ids is not None and len(node_ids) != b:

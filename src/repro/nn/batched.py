@@ -40,13 +40,11 @@ row's math reproduces the per-model :class:`~repro.nn.layers.Module`
 pass operation for operation (BatchNorm runs in training mode and
 updates each row's running statistics *inside* the parameter block),
 so a float64 block trains bit-identically to the row-by-row workspace
-path. Stream-mode Dropout (masks keyed by ``(node, session, step)``,
-see :func:`~repro.nn.layers.mask_stream_rng`) batches: install each
-row's per-step generators with :meth:`BatchedModel.set_mask_streams`
-before the forward. Legacy-mode Dropout with ``p > 0`` has no batched
-backward — its masks draw from the layer's own generator in per-task
-order, which a lockstep block cannot reproduce; use
-:func:`supports_batched_backward` to test, and fall back per row.
+path. Dropout (masks keyed by ``(node, session, step)``, see
+:func:`~repro.nn.layers.mask_stream_rng`) batches: install each row's
+per-step generators with :meth:`BatchedModel.set_mask_streams` before
+the forward. Use :func:`supports_batched_backward` to test a model, and
+fall back per row for custom layers without a batched backward.
 """
 
 from __future__ import annotations
@@ -114,24 +112,12 @@ def supports_batched_forward(model: Module) -> bool:
 def supports_batched_backward(model: Module) -> bool:
     """True when every module has a batched train-mode forward AND backward.
 
-    Legacy-mode Dropout with ``p > 0`` is excluded: its masks draw from
-    the layer's own sequential generator in per-task order, which a
-    lockstep block cannot reproduce. Stream-mode dropout batches fine —
-    its masks are a pure function of ``(node, session, step)`` (see
-    :func:`~repro.nn.layers.mask_stream_rng`), so the block draws each
-    row's masks from that row's own stream. ``p == 0`` is the identity
-    and always batches.
+    Every layer with a batched forward also has a batched backward —
+    dropout included, since its masks are a pure function of
+    ``(node, session, step)`` (see :func:`~repro.nn.layers.mask_stream_rng`)
+    and the block draws each row's masks from that row's own stream.
     """
-    for module in model.modules():
-        if isinstance(module, (Sequential, Residual)):
-            continue
-        if isinstance(module, Dropout):
-            if module.p > 0.0 and module.mode != "stream":
-                return False
-            continue
-        if not isinstance(module, _LEAF_TYPES):
-            return False
-    return True
+    return supports_batched_forward(model)
 
 
 def named_leaf_modules(model: Module):
@@ -557,10 +543,9 @@ class BatchedModel:
     ) -> np.ndarray:
         if module.p == 0.0:
             return x
-        # supports_batched_backward guarantees mode == "stream" here.
         if self._mask_streams is None:
             raise RuntimeError(
-                "stream-mode Dropout in a batched forward without mask "
+                "Dropout in a batched forward without mask "
                 "streams; call set_mask_streams() before each step"
             )
         streams = self._mask_streams[self._stream_index[id(module)]]

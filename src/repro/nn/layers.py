@@ -62,7 +62,7 @@ def mask_stream_rng(
 
 
 def stream_dropout_layers(model: "Module") -> list["Dropout"]:
-    """Active stream-mode dropout layers of ``model``, in modules() order.
+    """Active dropout layers of ``model``, in modules() order.
 
     The position in this list is the ``layer_index`` of the layer's mask
     stream key.
@@ -70,7 +70,7 @@ def stream_dropout_layers(model: "Module") -> list["Dropout"]:
     return [
         m
         for m in model.modules()
-        if isinstance(m, Dropout) and m.mode == "stream" and m.p > 0.0
+        if isinstance(m, Dropout) and m.p > 0.0
     ]
 
 
@@ -562,42 +562,26 @@ class Flatten(Module):
 class Dropout(Module):
     """Inverted dropout; identity when not training.
 
-    Masks come from one of two sources, selected by ``mode``:
-
-    * ``"stream"`` (default): a counter-based generator keyed by
-      ``(stream_seed, node, session, step, layer_index)`` and installed
-      by the trainer before every optimizer step via
-      :meth:`set_mask_rng` (see :func:`mask_stream_rng`). Because the
-      stream is a pure function of the key, masks are identical across
-      serial, batched and sharded execution and survive
-      checkpoint/resume — which is what makes ``p > 0`` batchable.
-    * ``"legacy"``: the sequential generator passed at construction
-      (shared across layers at build time). Kept so pre-stream
-      checkpoints replay bit-identically; legacy masks depend on global
-      draw order, so this mode is excluded from the batched fast path.
+    Masks come from a counter-based generator keyed by
+    ``(stream_seed, node, session, step, layer_index)`` and installed by
+    the trainer before every optimizer step via :meth:`set_mask_rng`
+    (see :func:`mask_stream_rng`). Because the stream is a pure function
+    of the key, masks are identical across serial, batched and sharded
+    execution and survive checkpoint/resume — which is what makes
+    ``p > 0`` batchable.
     """
 
-    def __init__(
-        self,
-        p: float = 0.5,
-        rng: np.random.Generator | None = None,
-        mode: str = "stream",
-        stream_seed: int = 0,
-    ):
+    def __init__(self, p: float = 0.5, stream_seed: int = 0):
         super().__init__()
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        if mode not in ("stream", "legacy"):
-            raise ValueError(f"dropout mode must be 'stream' or 'legacy', got {mode!r}")
         self.p = p
-        self.mode = mode
         self.stream_seed = int(stream_seed)
-        self.rng = rng if rng is not None else np.random.default_rng(0)
         self._stream_rng: np.random.Generator | None = None
         self._mask: np.ndarray | None = None
 
     def set_mask_rng(self, rng: np.random.Generator | None) -> None:
-        """Install the per-step stream generator (stream mode only).
+        """Install the per-step stream generator.
 
         The generator persists across every forward within the step, so
         DP-SGD's per-sample microbatch forwards consume consecutive
@@ -610,15 +594,12 @@ class Dropout(Module):
         if not self.training or self.p == 0.0:
             self._mask = None
             return x
-        if self.mode == "stream":
-            rng = self._stream_rng
-            if rng is None:
-                raise RuntimeError(
-                    "stream-mode Dropout used without a mask stream; call "
-                    "set_mask_rng() (see mask_stream_rng) before training"
-                )
-        else:
-            rng = self.rng
+        rng = self._stream_rng
+        if rng is None:
+            raise RuntimeError(
+                "Dropout used without a mask stream; call set_mask_rng() "
+                "(see mask_stream_rng) before training"
+            )
         keep = 1.0 - self.p
         mask = (rng.random(x.shape) < keep) / keep
         if np.issubdtype(x.dtype, np.floating):

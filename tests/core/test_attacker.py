@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import OmniscientObserver, StudyConfig, VulnerabilityStudy
+from repro.core import OmniscientObserver, Study, StudyConfig
 
 
 def build_study(**overrides):
@@ -26,7 +26,9 @@ def build_study(**overrides):
         max_global_test=64,
     )
     base.update(overrides)
-    return VulnerabilityStudy(StudyConfig(**base))
+    study = Study(StudyConfig(**base))
+    study.build()
+    return study
 
 
 class TestObserver:

@@ -1,4 +1,5 @@
-"""Tests for the grouped configuration layer (repro.core.config)."""
+"""Tests for the study configuration and its stored layout
+(repro.core.config)."""
 
 import json
 
@@ -7,78 +8,28 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import StudyConfig
-from repro.core.config import (
-    FLAT_TO_GROUP,
-    GROUPS,
-    DataConfig,
-    ExecutionConfig,
-    ModelConfig,
-    PrivacyConfig,
-    TopologyConfig,
-    config_hash,
-    group_field_names,
-)
+from repro.core.config import LAYOUT, RETIRED_FIELDS, config_hash
 
 
-class TestDecomposition:
-    def test_every_flat_field_belongs_to_exactly_one_group(self):
-        flat = {
-            name
-            for name in StudyConfig.__dataclass_fields__
-            if name not in ("name", "seed")
-        }
-        grouped = set(FLAT_TO_GROUP)
-        assert flat == grouped
-        counts = {}
-        for cls in GROUPS.values():
-            for field_name in group_field_names(cls):
-                counts[field_name] = counts.get(field_name, 0) + 1
-        assert all(count == 1 for count in counts.values())
-
-    def test_group_defaults_match_flat_defaults(self):
-        cfg = StudyConfig()
-        for group_name, cls in GROUPS.items():
-            group = cls()
-            for field_name in group_field_names(cls):
-                assert getattr(group, field_name) == getattr(cfg, field_name)
-
-    def test_group_properties_reflect_flat_values(self):
-        cfg = StudyConfig(n_nodes=32, dp_epsilon=5.0, dataset="purchase100")
-        assert cfg.topology.n_nodes == 32
-        assert cfg.privacy.dp_epsilon == 5.0
-        assert cfg.data.dataset == "purchase100"
-        assert isinstance(cfg.model, ModelConfig)
-        assert isinstance(cfg.execution, ExecutionConfig)
-
-    def test_from_groups_equals_flat_construction(self):
-        grouped = StudyConfig.from_groups(
-            name="x",
-            seed=3,
-            data=DataConfig(dataset="purchase100", num_features=64),
-            topology=TopologyConfig(n_nodes=8, rounds=2),
-            privacy=PrivacyConfig(dp_epsilon=10.0),
+class TestLayout:
+    def test_every_field_belongs_to_exactly_one_group(self):
+        grouped = [name for names in LAYOUT.values() for name in names]
+        assert len(grouped) == len(set(grouped))
+        assert set(grouped) | {"name", "seed"} == set(
+            StudyConfig.__dataclass_fields__
         )
-        flat = StudyConfig(
-            name="x",
-            seed=3,
-            dataset="purchase100",
-            num_features=64,
-            n_nodes=8,
-            rounds=2,
-            dp_epsilon=10.0,
-        )
-        assert grouped == flat
 
-    def test_from_groups_rejects_wrong_group_type(self):
-        with pytest.raises(ValueError, match="DataConfig"):
-            StudyConfig.from_groups(data=ModelConfig())
+    def test_study_module_reexports_the_config(self):
+        from repro.core import study
+
+        assert study.StudyConfig is StudyConfig
 
 
 class TestSerialization:
     def test_to_dict_is_grouped_and_json_ready(self):
         cfg = StudyConfig(name="s", n_nodes=8, mlp_hidden=(32, 16))
         payload = cfg.to_dict()
-        assert set(payload) == {"name", "seed", *GROUPS}
+        assert set(payload) == {"name", "seed", *LAYOUT}
         assert payload["topology"]["n_nodes"] == 8
         assert payload["model"]["mlp_hidden"] == [32, 16]  # JSON-able
         json.dumps(payload)  # must not raise
@@ -105,12 +56,39 @@ class TestSerialization:
     def test_from_dict_rejects_unknown_keys_listing_valid(self):
         with pytest.raises(ValueError, match="n_nodes"):
             StudyConfig.from_dict({"nodes": 8})
-        with pytest.raises(ValueError, match="dataset"):
-            DataConfig.from_dict({"datset": "cifar10"})
+        with pytest.raises(ValueError) as excinfo:
+            StudyConfig.from_dict({"data": {"datset": "cifar10"}})
+        message = str(excinfo.value)
+        assert "datset" in message
+        assert "valid fields are: beta, dataset" in message
 
-    def test_group_round_trip(self):
-        group = TopologyConfig(n_nodes=12, dynamic=True, drop_prob=0.1)
-        assert TopologyConfig.from_dict(group.to_dict()) == group
+    def test_field_in_the_wrong_group_rejected(self):
+        with pytest.raises(ValueError, match="unknown data field"):
+            StudyConfig.from_dict({"data": {"n_nodes": 8}})
+
+    def test_group_must_be_a_mapping(self):
+        with pytest.raises(ValueError, match="'topology' needs a mapping"):
+            StudyConfig.from_dict({"topology": [8]})
+
+    def test_field_given_twice_rejected(self):
+        with pytest.raises(ValueError, match="'rounds' is given twice"):
+            StudyConfig.from_dict({"rounds": 3, "topology": {"rounds": 3}})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"view_size": 5, "topology": {"n_nodes": 8}},
+            {"topology": {"n_nodes": 8}, "view_size": 5},
+        ],
+        ids=["flat-first", "group-first"],
+    )
+    def test_partial_group_keeps_flat_fields_in_any_order(self, payload):
+        # A partial group supplies only its own keys: a flat field of the
+        # same group is neither reset to its default nor validated
+        # against the group's defaults, whatever the key order.
+        assert StudyConfig.from_dict(payload) == StudyConfig(
+            n_nodes=8, view_size=5
+        )
 
 
 class TestOverrides:
@@ -122,69 +100,52 @@ class TestOverrides:
         assert "nodes" in message
         assert "n_nodes" in message  # the valid spelling is suggested
 
-    def test_group_override_with_instance_replaces_group(self):
-        cfg = StudyConfig(dp_epsilon=50.0, dp_clip_norm=2.0)
-        out = cfg.with_overrides(privacy=PrivacyConfig(dp_epsilon=5.0))
-        assert out.dp_epsilon == 5.0
-        assert out.dp_clip_norm == 1.0  # instance replaces the whole group
-
-    def test_group_override_with_dict_merges(self):
-        cfg = StudyConfig(dp_epsilon=50.0, dp_clip_norm=2.0)
-        out = cfg.with_overrides(privacy={"dp_epsilon": 5.0})
-        assert out.dp_epsilon == 5.0
-        assert out.dp_clip_norm == 2.0  # dict merges into the group
-
-    def test_group_override_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="dp_epsilon"):
-            StudyConfig().with_overrides(privacy={"epsilon": 5.0})
-
-    def test_group_with_overrides_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="n_nodes"):
-            TopologyConfig().with_overrides(node_count=8)
-
-    def test_mixed_flat_and_group_overrides(self):
-        out = StudyConfig().with_overrides(
-            rounds=7, execution=ExecutionConfig(executor="batched")
+    def test_override_replaces_fields(self):
+        out = StudyConfig(dp_clip_norm=2.0).with_overrides(
+            rounds=7, dp_epsilon=5.0
         )
-        assert out.rounds == 7
-        assert out.executor == "batched"
+        assert out == StudyConfig(rounds=7, dp_epsilon=5.0, dp_clip_norm=2.0)
+
+    def test_group_names_are_not_override_keys(self):
+        with pytest.raises(ValueError, match="unknown StudyConfig field"):
+            StudyConfig().with_overrides(privacy={"dp_epsilon": 5.0})
+
+    def test_override_is_validated(self):
+        with pytest.raises(ValueError, match="view_size"):
+            StudyConfig().with_overrides(n_nodes=2, view_size=2)
 
 
 class TestValidation:
     @pytest.mark.parametrize(
-        "cls, kwargs",
+        "kwargs, message",
         [
-            (DataConfig, dict(n_train=0)),
-            (DataConfig, dict(beta=-1.0)),
-            (ModelConfig, dict(learning_rate=0.0)),
-            (ModelConfig, dict(lr_decay=0.0)),
-            (ModelConfig, dict(batch_size=0)),
-            (TopologyConfig, dict(n_nodes=1)),
-            (TopologyConfig, dict(view_size=0)),
-            (TopologyConfig, dict(drop_prob=1.0)),
-            (TopologyConfig, dict(delay_ticks=-1)),
-            (ExecutionConfig, dict(executor="process")),
-            (ExecutionConfig, dict(executor="thread")),
-            (ExecutionConfig, dict(arena_dtype="float16")),
-            (ExecutionConfig, dict(train_batch=-2)),
-            (PrivacyConfig, dict(dp_epsilon=-1.0)),
-            (PrivacyConfig, dict(dp_delta=0.0)),
-            (PrivacyConfig, dict(n_canaries=-1)),
+            (dict(n_train=0), "n_train and n_test must be positive"),
+            (dict(beta=-1.0), "beta must be positive"),
+            (dict(learning_rate=0.0), "learning_rate must be positive"),
+            (dict(lr_decay=0.0), "lr_decay must be in"),
+            (dict(batch_size=0), "batch_size must be positive"),
+            (dict(dropout=1.0), "dropout must be in"),
+            (dict(n_nodes=1), "need at least two nodes"),
+            (dict(view_size=0), "view_size must be in"),
+            (dict(drop_prob=1.0), "drop_prob must be in"),
+            (dict(delay_ticks=-1), "delays must be non-negative"),
+            (dict(executor="process"), "executor must be"),
+            (dict(executor="thread"), "executor must be"),
+            (dict(arena_dtype="float16"), "arena_dtype must be"),
+            (dict(train_batch=-2), "train_batch and eval_batch must be"),
+            (dict(dp_epsilon=-1.0), "dp_epsilon must be positive"),
+            (dict(dp_delta=0.0), "dp_delta must be in"),
+            (dict(n_canaries=-1), "n_canaries must be non-negative"),
         ],
     )
-    def test_group_rejects_bad_values(self, cls, kwargs):
-        with pytest.raises(ValueError):
-            cls(**kwargs)
-
-    def test_flat_construction_runs_group_validation(self):
-        with pytest.raises(ValueError):
-            StudyConfig(executor="thread")
-        with pytest.raises(ValueError):
-            StudyConfig(n_nodes=1)
+    def test_rejects_bad_values(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            StudyConfig(**kwargs)
+        with pytest.raises(ValueError, match=message):
+            StudyConfig.from_dict(kwargs)
 
     def test_mlp_hidden_list_normalized_to_tuple(self):
         assert StudyConfig(mlp_hidden=[64, 32]).mlp_hidden == (64, 32)
-        assert ModelConfig(mlp_hidden=[64, 32]).mlp_hidden == (64, 32)
 
 
 # A config_hash keys the service cache, the job journals and the
@@ -294,9 +255,10 @@ _STORED_PAYLOAD = {
 
 
 class TestRetiredFields:
-    """``engine`` and ``n_workers`` were removed, along with the
-    ``"process"`` executor; stored configs still carry the first two at
-    their surviving values."""
+    """``engine`` and ``n_workers`` were removed along with the
+    ``"process"`` executor, and ``dropout_mode`` along with the legacy
+    dropout generator; stored configs still carry them at their
+    surviving values."""
 
     @pytest.mark.parametrize(
         "payload",
@@ -305,6 +267,8 @@ class TestRetiredFields:
             {"execution": {"engine": "dict"}},
             {"n_workers": 2},
             {"execution": {"n_workers": 2}},
+            {"dropout_mode": "legacy"},
+            {"model": {"dropout_mode": "legacy"}},
         ],
     )
     def test_other_values_name_the_removal(self, payload):
@@ -320,22 +284,25 @@ class TestRetiredFields:
 
     def test_surviving_values_are_dropped(self):
         cfg = StudyConfig.from_dict(
-            {"engine": "flat", "execution": {"n_workers": 0}, "rounds": 3}
+            {
+                "engine": "flat",
+                "execution": {"n_workers": 0},
+                "model": {"dropout_mode": "stream"},
+                "rounds": 3,
+            }
         )
         assert cfg == StudyConfig(rounds=3)
         assert "engine" not in cfg.to_dict()["execution"]
-        assert ExecutionConfig.from_dict(
-            {"engine": "flat", "n_workers": 0}
-        ) == ExecutionConfig()
+        assert "dropout_mode" not in cfg.to_dict()["model"]
+        assert StudyConfig.from_dict({"dropout_mode": "stream"}) == StudyConfig()
 
     def test_retired_names_are_not_fields(self):
-        from repro.core.config import RETIRED_EXECUTION_FIELDS
-
-        for name in RETIRED_EXECUTION_FIELDS:
-            assert name not in StudyConfig.__dataclass_fields__
-            assert name not in FLAT_TO_GROUP
-        with pytest.raises(ValueError, match="unknown"):
-            StudyConfig().with_overrides(engine="flat")
+        for group, retired in RETIRED_FIELDS.items():
+            for name in retired:
+                assert name not in StudyConfig.__dataclass_fields__
+                assert name not in LAYOUT[group]
+                with pytest.raises(ValueError, match="unknown"):
+                    StudyConfig().with_overrides(**{name: retired[name]})
 
 
 class TestGoldenConfigHash:
@@ -487,11 +454,6 @@ FIELD_PINS = {
         "model",
         0.25,
         "74d17d154822d18e1d0e3a1977d663eaed931c72f775158d3f4053ba084e5bd3",
-    ),
-    "dropout_mode": (
-        "model",
-        "legacy",
-        "cf1c66ca4a875d602d116740ca39cd31bf32b8c00c0edbf7640aff8d1a8f314e",
     ),
     "n_nodes": (
         "topology",
@@ -710,18 +672,19 @@ class TestGeneratedConfigs:
     def test_every_spelling_hashes_alike(self, config, rnd):
         grouped = config.to_dict()
         flat = {}
-        # Mixed: each group spelled flat or nested, with the keys of
-        # every mapping in shuffled order.
+        # Mixed: each field at the top level or inside its group, with
+        # the keys of every mapping in shuffled order.
         mixed = {}
         for key, value in grouped.items():
             if not isinstance(value, dict):
                 flat[key] = mixed[key] = value
                 continue
             flat.update(value)
-            if rnd.random() < 0.5:
-                mixed.update(value)
-            else:
-                mixed[key] = _shuffled(value, rnd)
+            nested = {}
+            for name, field_value in value.items():
+                target = mixed if rnd.random() < 0.5 else nested
+                target[name] = field_value
+            mixed[key] = _shuffled(nested, rnd)
         mixed = _shuffled(mixed, rnd)
         digest = config.config_hash()
         assert config_hash(flat) == digest

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import Study, StudyConfig, VulnerabilityStudy, run_study
-from repro.core.config import RETIRED_EXECUTION_FIELDS
+from repro import Study, StudyConfig, run_study
+from repro.core.config import RETIRED_FIELDS
 
 
 def tiny_config(**overrides):
@@ -79,10 +79,12 @@ class TestRunStudy:
         )
         assert result.metadata["executor"] == "sharded"
         assert result.metadata["n_shards"] == 2
-        # Stored result digests hash these bytes: the retired execution
-        # fields stay in the metadata at their surviving values.
-        for key, value in RETIRED_EXECUTION_FIELDS.items():
-            assert result.metadata[key] == value
+        # Stored result digests hash these bytes: the retired fields
+        # stay in the metadata at their surviving values.
+        for retired in RETIRED_FIELDS.values():
+            for key, value in retired.items():
+                assert result.metadata[key] == value
+        assert result.metadata["dropout_mode"] == "stream"
         assert result.metadata["shard_partition"] == "balanced"
 
     def test_sharded_study_matches_serial_bitwise(self):
@@ -103,7 +105,7 @@ class TestRunStudy:
         assert result.metadata["fallback_counts"] == {}
 
     def test_dropout_study_stays_on_fast_path(self):
-        """Stream-mode dropout (the default) batches and shards with
+        """Dropout (counter-based mask streams) batches and shards with
         zero per-row fallbacks and bit-identical metrics vs serial."""
         serial = run_study(tiny_config(seed=3, dropout=0.25))
         assert serial.metadata["dropout"] == 0.25
@@ -121,16 +123,6 @@ class TestRunStudy:
                     == o_round.global_test_accuracy
                 ), executor
                 assert s_round.mia_accuracy == o_round.mia_accuracy, executor
-
-    def test_legacy_dropout_mode_counts_fallbacks(self):
-        """dropout_mode="legacy" keeps the stateful per-layer draws; on
-        the batched executor every trained row is tallied under the
-        model-shape fallback reason."""
-        result = run_study(
-            tiny_config(dropout=0.25, dropout_mode="legacy", executor="batched")
-        )
-        counts = result.metadata["fallback_counts"]
-        assert counts.get("no_batched_backward", 0) > 0
 
     def test_dp_study_stays_on_fast_path(self):
         """Vectorized per-sample DP-SGD: no per-row fallbacks on the
@@ -284,11 +276,6 @@ class TestStudySession:
         assert study.simulator.arena.shared_name is None  # segment freed
         assert study.simulator._executor is None
 
-    def test_vulnerability_study_builds_eagerly(self):
-        study = VulnerabilityStudy(tiny_config())
-        assert hasattr(study, "simulator")  # compat: built on construction
-        study.close()
-
 
 class TestCanaryStudy:
     def test_canary_tpr_recorded(self):
@@ -332,16 +319,13 @@ class TestDPStudy:
         assert eps[0] <= eps[-1]
 
     def test_tighter_budget_means_more_noise(self):
-        tight = VulnerabilityStudy(tiny_config(dp_epsilon=5.0))
-        loose = VulnerabilityStudy(tiny_config(dp_epsilon=50.0))
-        try:
+        with Study(tiny_config(dp_epsilon=5.0)) as tight, Study(
+            tiny_config(dp_epsilon=50.0)
+        ) as loose:
             assert (
                 tight.protocol.trainer.config.dp.noise_multiplier
                 > loose.protocol.trainer.config.dp.noise_multiplier
             )
-        finally:
-            tight.close()
-            loose.close()
 
 
 class TestLatencyStudy:

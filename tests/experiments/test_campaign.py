@@ -1,12 +1,13 @@
 """Tests for the Campaign API (sweeps, parallelism, resume)."""
 
+import json
 import os
 
 import numpy as np
 import pytest
 
 from repro import StudyConfig
-from repro.experiments import Campaign, load_result, run_many
+from repro.experiments import Campaign, load_result
 from repro.experiments.runner import _study_process_demand
 
 
@@ -67,14 +68,9 @@ class TestSweepBuilders:
         with pytest.raises(ValueError, match="n_nodes"):
             Campaign.from_grid(tiny_config(), nodes=[4, 8])
 
-    def test_group_axis_sweeps_whole_groups(self):
-        from repro.core.config import PrivacyConfig
-
-        campaign = Campaign.from_grid(
-            tiny_config(),
-            privacy=[PrivacyConfig(), PrivacyConfig(dp_epsilon=10.0)],
-        )
-        assert [c.dp_epsilon for c in campaign.configs] == [None, 10.0]
+    def test_group_names_are_not_axes(self):
+        with pytest.raises(ValueError, match="unknown StudyConfig field"):
+            Campaign.from_grid(tiny_config(), privacy=[{"dp_epsilon": 10.0}])
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -86,17 +82,6 @@ class TestSweepBuilders:
 
 
 class TestExecution:
-    def test_run_matches_run_many_bitwise(self):
-        configs = [tiny_config(name=f"c{i}", seed=i) for i in range(2)]
-        serial = run_many(configs)
-        campaign = Campaign(configs).run(jobs=1)
-        assert list(serial) == list(campaign) == ["c0", "c1"]
-        for name in serial:
-            np.testing.assert_array_equal(
-                serial[name].series("mia_accuracy"),
-                campaign[name].series("mia_accuracy"),
-            )
-
     def test_parallel_jobs_bit_identical_to_serial(self):
         configs = [tiny_config(name=f"p{i}", seed=i) for i in range(2)]
         serial = Campaign(configs).run(jobs=1)
@@ -138,9 +123,6 @@ class TestExecution:
         assert _study_process_demand(config) == started
         assert started == min(cpus, 8, config.n_nodes)
 
-    def test_run_many_empty_list_returns_empty_dict(self):
-        assert run_many([]) == {}
-
 
 class TestResume:
     def test_results_persisted_and_loaded(self, tmp_path):
@@ -176,6 +158,43 @@ class TestResume:
         changed = [tiny_config(name="x", rounds=3)]
         with pytest.raises(ValueError, match="different"):
             Campaign(changed, out_dir=tmp_path).run(jobs=1)
+
+    @staticmethod
+    def _rewrite_manifest_entry(campaign, name, edit):
+        manifest = json.loads(campaign.manifest_path.read_text())
+        edit(manifest[name])
+        campaign.manifest_path.write_text(json.dumps(manifest))
+
+    def test_manifest_entry_from_older_version_resumes(self, tmp_path):
+        """A manifest entry written before the retired fields were
+        removed describes the same config; the resume must load the
+        stored result instead of refusing or re-running it."""
+        configs = [tiny_config(name="old")]
+        campaign = Campaign(configs, out_dir=tmp_path)
+        campaign.run(jobs=1)
+
+        def add_retired_fields(entry):
+            entry["execution"].update(engine="flat", n_workers=0)
+            entry["model"]["dropout_mode"] = "stream"
+
+        self._rewrite_manifest_entry(campaign, "old", add_retired_fields)
+        path = campaign.result_path("old")
+        path.write_text(
+            path.read_text().replace('"config_name": "old"', '"config_name": "kept"')
+        )
+        rerun = Campaign(configs, out_dir=tmp_path).run(jobs=1)
+        assert rerun["old"].config_name == "kept"  # loaded, not re-run
+
+    def test_manifest_entry_that_no_longer_loads_rejected(self, tmp_path):
+        campaign = Campaign([tiny_config(name="gone")], out_dir=tmp_path)
+        campaign.run(jobs=1)
+
+        def use_legacy_dropout(entry):
+            entry["model"]["dropout_mode"] = "legacy"
+
+        self._rewrite_manifest_entry(campaign, "gone", use_legacy_dropout)
+        with pytest.raises(ValueError, match="different"):
+            Campaign([tiny_config(name="gone")], out_dir=tmp_path).run(jobs=1)
 
     def test_corrupt_result_file_is_recomputed(self, tmp_path):
         configs = [tiny_config(name="k")]

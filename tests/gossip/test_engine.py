@@ -17,7 +17,7 @@ from repro.gossip import (
     UpdateTask,
     make_protocol,
 )
-from repro.nn import build_mlp, get_state
+from repro.nn import Dense, Module, ReLU, Sequential, build_mlp, get_state
 from repro.nn.flat import StateLayout
 from repro.nn.serialize import state_to_vector
 
@@ -559,16 +559,25 @@ class TestExecutorContract:
             )
 
     def test_unsupported_architecture_falls_back_per_row(self):
-        """A model without a batched backward (legacy-mode stochastic
-        dropout) must construct and run on the per-row fallback,
-        matching serial — not crash at executor construction."""
-        dropout_builder = partial(
-            build_mlp, 16, 4, hidden=(8,), dropout=0.3,
-            dropout_mode="legacy",
-        )
+        """A model with a custom layer (no batched backward) must
+        construct and run on the per-row fallback, matching serial —
+        not crash at executor construction."""
+
+        class Passthrough(Module):
+            def forward(self, x):
+                return x
+
+            def backward(self, grad_out):
+                return grad_out
+
+        def custom_builder(rng=None):
+            rng = rng if rng is not None else np.random.default_rng(0)
+            return Sequential(
+                Dense(16, 8, rng=rng), ReLU(), Passthrough(), Dense(8, 4, rng=rng)
+            )
 
         def build(executor):
-            model = dropout_builder(rng=np.random.default_rng(0))
+            model = custom_builder(rng=np.random.default_rng(0))
             trainer = LocalTrainer(
                 model,
                 TrainerConfig(learning_rate=0.05, local_epochs=1,
@@ -586,7 +595,7 @@ class TestExecutorContract:
             )
             return FlatGossipSimulator(
                 config, make_protocol("samo", trainer), splits,
-                get_state(model), model_builder=dropout_builder,
+                get_state(model), model_builder=custom_builder,
             )
 
         serial = build("serial")

@@ -268,42 +268,9 @@ class TestShardedExecutor:
             arena.release()
 
     def test_config_swap_after_construction_reaches_workers(self):
-        """The engine swaps trainer.config after construction (DP
-        install); with the live trainer attached, shards must train
-        with the new config — matching serial bit for bit."""
-        from dataclasses import replace
-
-        model, layout, splits, config, arena = make_fixture()
-        trainer = LocalTrainer(model, config)
-        sharded = ShardedExecutor(
-            MODEL_BUILDER, config, layout, splits, arena, n_shards=2,
-            trainer=trainer,
-        )
-        try:
-            swapped = replace(config, learning_rate=0.005, lr_decay=0.9)
-            trainer.config = swapped
-            serial = SerialExecutor(
-                LocalTrainer(MODEL_BUILDER(rng=np.random.default_rng(0)),
-                             swapped),
-                layout, splits,
-            )
-            serial_results = serial.train_batch(make_tasks(arena, 6, copy=True))
-            serial.close()
-            sharded_results = [
-                (vector.copy(), rng)
-                for vector, rng in sharded.train_batch(make_tasks(arena, 6))
-            ]
-        finally:
-            sharded.close()
-            arena.release()
-        for (serial_vec, _), (sharded_vec, _) in zip(
-            serial_results, sharded_results
-        ):
-            np.testing.assert_array_equal(serial_vec, sharded_vec)
-
-    def test_set_config_without_trainer_reaches_workers(self):
-        """Without a live trainer attached, an explicit set_config()
-        swap is stored and diff-pushed with the next batch."""
+        """The engine swaps the trainer config after construction (DP
+        install) through set_config; shards must train with the new
+        config — matching serial bit for bit."""
         from dataclasses import replace
 
         model, layout, splits, config, arena = make_fixture()

@@ -151,24 +151,14 @@ class TestSupportsBatchedBackward:
         for arch, kwargs, _ in ARCHS:
             assert supports_batched_backward(build_model(arch, **kwargs))
 
-    def test_stochastic_dropout_modes(self):
+    def test_stochastic_dropout_batches(self):
         model = build_model(
-            "mlp", in_features=10, num_classes=4, hidden=(8,)
+            "mlp", in_features=10, num_classes=4, hidden=(8,), dropout=0.3
         )
         assert supports_batched_backward(model)
-        # Counter-based mask streams (the default) batch fine even with
-        # p > 0; the stateful legacy generator does not.
+        # Counter-based mask streams batch fine even with p > 0.
         streamed = Sequential(Dense(10, 8), ReLU(), Dropout(0.3), Dense(8, 4))
         assert supports_batched_backward(streamed)
-        legacy = Sequential(
-            Dense(10, 8), ReLU(), Dropout(0.3, mode="legacy"), Dense(8, 4)
-        )
-        assert not supports_batched_backward(legacy)
-        # p == 0 dropout is the identity and batches in either mode.
-        inert = Sequential(
-            Dense(10, 8), Dropout(0.0, mode="legacy"), Dense(8, 4)
-        )
-        assert supports_batched_backward(inert)
 
     def test_unknown_layer_rejected(self):
         class Weird(Module):
@@ -178,9 +168,13 @@ class TestSupportsBatchedBackward:
         assert not supports_batched_backward(Sequential(Dense(4, 2), Weird()))
 
     def test_batched_model_refuses_unsupported(self):
+        class Weird(Module):
+            def forward(self, x):
+                return x
+
         layout = StateLayout.from_state({"w": np.zeros(1)})
         with pytest.raises(ValueError, match="batched backward"):
-            BatchedModel(Sequential(Dropout(0.5, mode="legacy")), layout)
+            BatchedModel(Sequential(Weird()), layout)
 
 
 class TestParameterColumnRuns:

@@ -215,16 +215,10 @@ class TestFlattenDropoutIdentity:
         np.testing.assert_array_equal(layer.backward(out), x)
 
     def test_dropout_eval_is_identity(self, rng):
-        layer = Dropout(0.5, rng=rng)
+        layer = Dropout(0.5)
         layer.eval()
         x = rng.normal(size=(10, 10))
         np.testing.assert_array_equal(layer.forward(x), x)
-
-    def test_dropout_preserves_expectation(self, rng):
-        layer = Dropout(0.5, rng=rng, mode="legacy")
-        x = np.ones((200, 200))
-        out = layer.forward(x)
-        assert out.mean() == pytest.approx(1.0, abs=0.05)
 
     def test_stream_dropout_preserves_expectation(self):
         from repro.nn.layers import mask_stream_rng
@@ -269,8 +263,6 @@ class TestFlattenDropoutIdentity:
     def test_dropout_rejects_bad_p(self):
         with pytest.raises(ValueError):
             Dropout(1.0)
-        with pytest.raises(ValueError):
-            Dropout(0.5, mode="bogus")
 
     def test_identity(self, rng):
         layer = Identity()

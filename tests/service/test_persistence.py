@@ -319,20 +319,22 @@ class TestRecoveryStateMapping:
         assert job.state == CANCELLED
 
 
-# -- stored configs from before the engine/n_workers removal -------------
+# -- stored configs from before the retired-field removals --------------
 
 # config_hash of tiny_study_payload(), pinned: journals written before
-# the removal keyed this job by exactly this digest.
+# the removals keyed this job by exactly this digest.
 TINY_PAYLOAD_HASH = (
     "b19740fe1f5cdd2e40d1489c994cfb0829ab24f430031f7d74e67272e47dcde7"
 )
 
 
-def stored_config(engine: str = "flat") -> dict:
+def stored_config(engine: str = "flat", dropout_mode: str = "stream") -> dict:
     """normalized_config() as builds that still had the retired fields
-    wrote it: their execution group carried an engine and a pool size."""
+    wrote it: their execution group carried an engine and a pool size,
+    and their model group a dropout mode."""
     config = normalized_config()
     config["execution"].update({"engine": engine, "n_workers": 0})
+    config["model"]["dropout_mode"] = dropout_mode
     return config
 
 
@@ -377,6 +379,35 @@ class TestRecoveryAcrossFieldRemoval:
         assert manager.builds_performed == 1  # nothing was rebuilt
         _, _, stored = client.get("/studies/job-000001/result")
         assert stored.decode("utf-8") == result.to_json()
+
+    def test_dropout_mode_stream_recovers_and_legacy_is_dropped(
+        self, tmp_path, make_service, caplog
+    ):
+        result = run_study(StudyConfig.from_dict(tiny_study_payload()))
+        journal = JobJournal(tmp_path)
+        for event in (
+            {"event": "submitted", "job": "job-000001",
+             "config": stored_config(dropout_mode="stream"),
+             "config_hash": TINY_PAYLOAD_HASH},
+            {"event": "done", "job": "job-000001",
+             "result": result.to_json()},
+            # The legacy dropout generator is gone; this job cannot
+            # come back.
+            {"event": "submitted", "job": "job-000002",
+             "config": stored_config(dropout_mode="legacy"),
+             "config_hash": "0" * 64},
+        ):
+            journal.append(event)
+        journal.close()
+
+        with caplog.at_level(logging.WARNING, logger="repro.service.jobs"):
+            service = make_service(state_dir=tmp_path, checkpoint_dir=None)
+        assert "stored config no longer loads" in caplog.text
+        assert "job-000002" in caplog.text
+        manager = service.manager
+        assert manager.get("job-000002") is None
+        assert manager.get("job-000001").state == DONE
+        assert manager.hash_index() == {TINY_PAYLOAD_HASH: "job-000001"}
 
     def test_resume_accepts_checkpoint_with_retired_entries(self, tmp_path):
         """Checkpoints written before the removal carry the stored

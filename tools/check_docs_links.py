@@ -8,8 +8,8 @@ pure anchors are skipped; an anchor suffix on a relative link is
 stripped before the existence check.
 
 Drift: in the markdown tables of README.md and docs/configuration.md,
-every backticked name in a field column (headed "Field", "Knob" or
-"Maps to") must be a field of ``StudyConfig``, ``SimulatorConfig`` or
+every backticked name in a field column (headed "Field", "Fields",
+"Knob" or "Maps to") must be a field of ``StudyConfig``, ``SimulatorConfig`` or
 ``TrainerConfig``, and every ``--flag`` in a flag column (headed "CLI"
 or "Flag") must exist on the ``repro`` CLI parser. A row documenting a
 removed knob or flag therefore fails the check.
@@ -31,7 +31,7 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
 
 DRIFT_FILES = ("README.md", "docs/configuration.md")
-FIELD_COLUMNS = ("Field", "Knob", "Maps to")
+FIELD_COLUMNS = ("Field", "Fields", "Knob", "Maps to")
 FLAG_COLUMNS = ("CLI", "Flag")
 TICKED_RE = re.compile(r"`([^`]+)`")
 FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
@@ -83,7 +83,7 @@ def table_columns(text: str, headers: tuple[str, ...]) -> list[tuple[int, str]]:
 
 
 def known_fields() -> set[str]:
-    from repro.core.study import StudyConfig
+    from repro.core.config import StudyConfig
     from repro.gossip.simulator import SimulatorConfig
     from repro.gossip.trainer import TrainerConfig
 
