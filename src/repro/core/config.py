@@ -88,9 +88,9 @@ RETIRED_FIELDS: dict[str, dict[str, object]] = {
     "execution": {"engine": "flat", "n_workers": 0},
 }
 
-# Every key a stored config may use outside a group.
-_FLAT_KEYS = frozenset(
-    ("name", "seed", *(name for names in LAYOUT.values() for name in names))
+# Every key a stored config may use at its top level.
+_STORED_KEYS = frozenset(
+    ("name", "seed", *LAYOUT, *(n for names in LAYOUT.values() for n in names))
 )
 
 # Architecture used for each dataset in Table 2.
@@ -108,7 +108,7 @@ _DATASET_CLASSES = {
 }
 
 
-def reject_unknown_keys(where: str, keys, valid) -> None:
+def _reject_unknown_keys(where: str, keys, valid) -> None:
     """Raise a ValueError naming the offending and the valid keys, so a
     typo'd knob produces an actionable message instead of a dataclass
     ``TypeError``."""
@@ -290,35 +290,35 @@ class StudyConfig:
                 f"StudyConfig.from_dict needs a mapping, "
                 f"got {type(payload).__name__}"
             )
-        entries: list[tuple[str, object]] = []
-        for key, value in payload.items():
-            if key not in LAYOUT:
-                entries.append((key, value))
-                continue
-            if not isinstance(value, Mapping):
-                raise ValueError(
-                    f"config group {key!r} needs a mapping, "
-                    f"got {type(value).__name__}"
-                )
-            members = {
-                k: v for k, v in value.items() if not _check_retired(key, k, v)
-            }
-            reject_unknown_keys(key, members, LAYOUT[key])
-            entries.extend(members.items())
         flat: dict = {}
-        for key, value in entries:
-            if any(_check_retired(group, key, value) for group in RETIRED_FIELDS):
+        for key, value in payload.items():
+            if key in LAYOUT:
+                if not isinstance(value, Mapping):
+                    raise ValueError(
+                        f"config group {key!r} needs a mapping, "
+                        f"got {type(value).__name__}"
+                    )
+                members = {
+                    k: v
+                    for k, v in value.items()
+                    if not _check_retired(key, k, v)
+                }
+                _reject_unknown_keys(key, members, LAYOUT[key])
+            elif any(_check_retired(g, key, value) for g in RETIRED_FIELDS):
                 continue
-            reject_unknown_keys("StudyConfig", [key], _FLAT_KEYS | set(LAYOUT))
-            if key in flat:
-                raise ValueError(f"config field {key!r} is given twice")
-            flat[key] = value
+            else:
+                _reject_unknown_keys("StudyConfig", [key], _STORED_KEYS)
+                members = {key: value}
+            for name, member in members.items():
+                if name in flat:
+                    raise ValueError(f"config field {name!r} is given twice")
+                flat[name] = member
         return cls(**flat)
 
     def with_overrides(self, **kwargs) -> "StudyConfig":
         """Copy with the given fields replaced; unknown keys raise a
         ValueError listing the valid names."""
-        reject_unknown_keys("StudyConfig", kwargs, self.__dataclass_fields__)
+        _reject_unknown_keys("StudyConfig", kwargs, self.__dataclass_fields__)
         return replace(self, **kwargs)
 
     def config_hash(self) -> str:
